@@ -10,7 +10,6 @@ from .forward import (
     add_kspace_noise,
     apply_adjoint,
     apply_forward,
-    density_compensate,
     make_equispaced_mask,
     make_poisson_disc_mask,
 )
@@ -23,7 +22,6 @@ from .sampler import (
     ReconReport,
     SamplerConfig,
     TraceRow,
-    am_update,
     cg_solve,
     csgm_step,
     langevin_step,

@@ -15,7 +15,6 @@ same seed produce byte-identical outputs. Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from . import metrics
 from .config import (
+    FIELD_TYPES,
     ConfigError,
     ExperimentConfig,
     build_controller_configs,
@@ -32,11 +32,12 @@ from .config import (
     build_prior,
     build_sampler_config,
     derive_seed,
+    format_keyvals,
     load_config,
 )
 from .forward import ForwardModel, NoiseSpec, SamplingMask, add_kspace_noise, apply_forward
 from .sampler import ReconReport, run_reconstruction, write_trace_csv
-from .tensorfile import TensorFileError, load_tensor, save_tensor
+from .tensorfile import TensorFileError, atomic_write, load_tensor, save_tensor
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,58 +51,9 @@ class NumericalError(RuntimeError):
     """Reconstruction produced non-finite values."""
 
 
-def _write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _keyvals(pairs: list[tuple[str, object]]) -> str:
-    lines = []
-    for key, value in pairs:
-        text = repr(float(value)) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
-
-
-_CONFIG_FLAGS: dict[str, type] = {
-    "out": str,
-    "seed": int,
-    "size": int,
-    "phantom": str,
-    "phase": str,
-    "coils": int,
-    "mask": str,
-    "accel": float,
-    "acs_fraction": float,
-    "calib": int,
-    "sigma": float,
-    "prior": str,
-    "prior_mean": str,
-    "mean_blur": float,
-    "tau2": float,
-    "gamma": float,
-    "levels": int,
-    "steps_per_level": int,
-    "beta_min": float,
-    "beta_max": float,
-    "eps0": float,
-    "cg_iters": int,
-    "method": str,
-    "lambda0": float,
-    "alpha": float,
-    "freeze_fraction": float,
-    "window": int,
-    "probes": int,
-    "eps_rel": float,
-    "dc_weight": float,
-}
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="flat key=value config file")
-    for name, kind in _CONFIG_FLAGS.items():
+    for name, kind in FIELD_TYPES.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
     parser.add_argument(
         "--steps", type=int, default=None,
@@ -115,7 +67,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg = load_config(args.config, cfg)
     overrides = {
         name: getattr(args, name)
-        for name in _CONFIG_FLAGS
+        for name in FIELD_TYPES
         if getattr(args, name) is not None
     }
     cfg = cfg.replace(**overrides)
@@ -144,13 +96,22 @@ def _check_finite(img: np.ndarray, what: str) -> None:
 
 
 def _load_sim(cfg: ExperimentConfig) -> tuple[np.ndarray, ForwardModel, np.ndarray]:
+    """Load the simulated inputs, checked against the config: every file
+    must have the config's shape, and coils and k-space must be finite."""
     out = Path(cfg.out)
-    truth = load_tensor(out / "truth.smrd")
-    sens = load_tensor(out / "coils.smrd")
-    keep = load_tensor(out / "mask.smrd").astype(bool)
-    y = load_tensor(out / "kspace.smrd")
-    mask = SamplingMask(keep=keep, accel=cfg.accel)
-    return truth, ForwardModel(sens=sens, mask=mask), y
+    image = (cfg.size, cfg.size)
+    stack = (cfg.coils, *image)
+    loaded = {}
+    for name, shape in (("truth", image), ("coils", stack), ("mask", image), ("kspace", stack)):
+        path = out / f"{name}.smrd"
+        data = load_tensor(path)
+        if data.shape != shape:
+            raise TensorFileError(f"{path}: shape {data.shape}, expected {shape} from the config")
+        if name in ("coils", "kspace") and not np.all(np.isfinite(data)):
+            raise TensorFileError(f"{path}: contains non-finite values")
+        loaded[name] = data
+    mask = SamplingMask(keep=loaded["mask"].astype(bool), accel=cfg.accel)
+    return loaded["truth"], ForwardModel(sens=loaded["coils"], mask=mask), loaded["kspace"]
 
 
 def _run_method(
@@ -181,9 +142,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     save_tensor(out / "mask.smrd", fm.mask.keep.astype(np.uint8))
     save_tensor(out / "kspace.smrd", y)
     realized = fm.mask.realized_accel
-    _write_text(
+    atomic_write(
         out / "manifest.txt",
-        _keyvals(
+        format_keyvals(
             [
                 ("height", cfg.size),
                 ("width", cfg.size),
@@ -207,9 +168,9 @@ def cmd_recon(cfg: ExperimentConfig) -> int:
     report, psnr_v, ssim_v = _run_method(cfg, cfg.method, truth, fm, y)
     save_tensor(out / f"image_{cfg.method}.smrd", report.final)
     write_trace_csv(report, out / f"trace_{cfg.method}.csv")
-    _write_text(
+    atomic_write(
         out / f"metrics_{cfg.method}.txt",
-        _keyvals(
+        format_keyvals(
             [
                 ("method", cfg.method),
                 ("psnr", psnr_v),
@@ -244,8 +205,8 @@ def cmd_sweep_lambda(cfg: ExperimentConfig, lambdas: list[float], sigmas: list[f
         assert best is not None
         best_lines.append(f"{sigma!r},{best[0]!r},{best[1]!r}")
         print(f"sweep: sigma={sigma!r} best_lambda={best[0]!r} psnr={best[1]:.2f}")
-    _write_text(out / "sweep.csv", "\n".join(rows) + "\n")
-    _write_text(out / "sweep_best.txt", "\n".join(best_lines) + "\n")
+    atomic_write(out / "sweep.csv", "\n".join(rows) + "\n")
+    atomic_write(out / "sweep_best.txt", "\n".join(best_lines) + "\n")
     return EXIT_OK
 
 
@@ -258,10 +219,10 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
     lines = ["t,sure,mse,psnr"]
     for row in report.trace:
         lines.append(f"{row.t},{row.sure!r},{row.mse!r},{row.psnr!r}")
-    _write_text(out / "trace.csv", "\n".join(lines) + "\n")
-    _write_text(
+    atomic_write(out / "trace.csv", "\n".join(lines) + "\n")
+    atomic_write(
         out / "trace_meta.txt",
-        _keyvals([("t_es", report.stop_step), ("steps", len(report.trace))]),
+        format_keyvals([("t_es", report.stop_step), ("steps", len(report.trace))]),
     )
     print(f"trace: t_es={report.stop_step} steps={len(report.trace)} psnr={psnr_v:.2f}")
     return EXIT_OK
@@ -276,7 +237,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         save_tensor(out / f"image_{method}.smrd", report.final)
         rows.append(f"{method},{psnr_v!r},{ssim_v!r},{report.stop_step}")
         print(f"compare[{method}]: psnr={psnr_v:.2f} ssim={ssim_v:.4f} t_es={report.stop_step}")
-    _write_text(out / "compare.csv", "\n".join(rows) + "\n")
+    atomic_write(out / "compare.csv", "\n".join(rows) + "\n")
     return EXIT_OK
 
 

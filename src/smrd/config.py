@@ -12,14 +12,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .forward import ForwardModel, NoiseSpec, SamplingMask, make_equispaced_mask, make_poisson_disc_mask
-from .phantom import PhantomSpec, make_phantom, make_synth_coils
-from .priors import NoiseSchedule, ScorePrior, gaussian_blur
+from .phantom import PHANTOM_KINDS, PHASE_KINDS, PhantomSpec, make_phantom, make_synth_coils
+from .priors import PRIOR_KINDS, NoiseSchedule, ScorePrior, gaussian_blur
 from .sampler import METHODS, SamplerConfig
 from .sure import EarlyStopConfig, SureConfig, TttConfig
+from .tensorfile import atomic_write
 
 MASK_KINDS = ("equispaced", "poisson")
 PRIOR_MEANS = ("zero", "truth", "smoothed_truth")
@@ -33,6 +35,15 @@ def derive_seed(seed: int, label: str) -> int:
     """Stable 63-bit sub-seed from (seed, purpose label)."""
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "little") >> 1
+
+
+def format_keyvals(pairs: Iterable[tuple[str, object]]) -> str:
+    """One `key = value` line per pair; floats use repr (shortest round trip)."""
+    lines = []
+    for key, value in pairs:
+        text = repr(float(value)) if isinstance(value, float) else str(value)
+        lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -77,18 +88,17 @@ class ExperimentConfig:
         return self.levels * self.steps_per_level
 
     def validate(self) -> "ExperimentConfig":
-        if self.phantom not in ("shepp_logan", "blob_grid"):
-            raise ConfigError(f"unknown phantom {self.phantom!r}")
-        if self.phase not in ("none", "smooth"):
-            raise ConfigError(f"unknown phase {self.phase!r}")
-        if self.mask not in MASK_KINDS:
-            raise ConfigError(f"unknown mask kind {self.mask!r}")
-        if self.prior not in ("gaussian", "smoothness", "zero"):
-            raise ConfigError(f"unknown prior {self.prior!r}")
-        if self.prior_mean not in PRIOR_MEANS:
-            raise ConfigError(f"unknown prior_mean {self.prior_mean!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
+        for name, allowed in (
+            ("phantom", PHANTOM_KINDS),
+            ("phase", PHASE_KINDS),
+            ("mask", MASK_KINDS),
+            ("prior", PRIOR_KINDS),
+            ("prior_mean", PRIOR_MEANS),
+            ("method", METHODS),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"unknown {name} {value!r}, expected one of {allowed}")
         if self.size < 16:
             raise ConfigError(f"size must be >= 16, got {self.size}")
         if self.coils < 1:
@@ -112,22 +122,21 @@ class ExperimentConfig:
         return dataclasses.replace(self, **overrides)
 
     def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            text = repr(value) if isinstance(value, float) else str(value)
-            lines.append(f"{f.name} = {text}")
-        return "\n".join(lines) + "\n"
+        return format_keyvals((f.name, getattr(self, f.name)) for f in dataclasses.fields(self))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+        atomic_write(path, self.to_text())
+
+
+# Value type of every field, read off its default. The config-file parser
+# and the CLI flags are both derived from this one table.
+FIELD_TYPES: dict[str, type] = {
+    f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)
+}
 
 
 def _convert(name: str, kind: type, raw: str):
     try:
-        if kind is bool:
-            return raw.strip().lower() in ("1", "true", "yes")
         return kind(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
@@ -135,7 +144,6 @@ def _convert(name: str, kind: type, raw: str):
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     cfg = base or ExperimentConfig()
-    types = {f.name: type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -145,9 +153,9 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in types:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        updates[key] = _convert(key, types[key], raw)
+        updates[key] = _convert(key, FIELD_TYPES[key], raw)
     return cfg.replace(**updates).validate()
 
 

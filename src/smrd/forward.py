@@ -297,32 +297,3 @@ def add_kspace_noise(y: np.ndarray, mask: SamplingMask, spec: NoiseSpec) -> np.n
         out[c] = y[c] + noise * mask.keep
     return out
 
-
-def density_compensate(y: np.ndarray, mask: SamplingMask, window: int = 7) -> np.ndarray:
-    """Scale kept samples by the reciprocal local sampling density.
-
-    Density is the mean of the mask over a periodic window x window box
-    (periodic so uniform patterns get one scale factor at the edges too),
-    normalized so the calibration region is unscaled (or so a fully kept
-    region is unscaled when there is no calibration block). Optional
-    preprocessing; nothing in the default pipeline applies it.
-    """
-    y = np.asarray(y)
-    k = mask.keep.astype(float)
-    half = window // 2
-    density = np.zeros_like(k)
-    for di in range(-half, half + 1):
-        for dj in range(-half, half + 1):
-            density += np.roll(np.roll(k, di, axis=0), dj, axis=1)
-    density /= window * window
-
-    if mask.calib is not None:
-        r0, r1, c0, c1 = mask.calib
-        ref = float(density[r0:r1, c0:c1].mean())
-    else:
-        ref = 1.0
-
-    weight = np.zeros_like(k)
-    kept = mask.keep
-    weight[kept] = ref / density[kept]
-    return y * weight

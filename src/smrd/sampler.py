@@ -18,7 +18,6 @@ solve, and `zero_filled` returns the adjoint image.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,7 @@ from .sure import (
     mc_sure,
     update_lambda,
 )
+from .tensorfile import atomic_write
 
 METHODS = ("smrd", "am_fixed", "csgm", "csgm_es", "zero_filled")
 
@@ -96,16 +96,10 @@ def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _langevin(x: np.ndarray, prior: ScorePrior, t: int, zeta: np.ndarray) -> np.ndarray:
+def langevin_step(x: np.ndarray, prior: ScorePrior, t: int, zeta: np.ndarray) -> np.ndarray:
+    """One annealed Langevin step: x + eta_t * score + sqrt(2 eta_t) * zeta."""
     et = eta(prior.schedule, t)
     return x + et * score(prior, x, t) + math.sqrt(2.0 * et) * zeta
-
-
-def langevin_step(
-    x: np.ndarray, prior: ScorePrior, t: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One annealed Langevin step: x + eta_t * score + sqrt(2 eta_t) * zeta."""
-    return _langevin(x, prior, t, _complex_normal(rng, x.shape))
 
 
 def cg_solve(
@@ -164,42 +158,22 @@ def cg_solve(
     return np.fft.fftshift(z, axes=_AXES)
 
 
-def am_update(
-    fm: ForwardModel, y: np.ndarray, x_plus: np.ndarray, lam: float, cg_iters: int
-) -> np.ndarray:
-    """Data-consistency update: forms x_zf = A^H y then delegates to
-    cg_solve. Identical bit for bit to calling cg_solve yourself."""
-    return cg_solve(fm, lam, apply_adjoint(fm, y), x_plus, cg_iters)
-
-
-def _csgm(
-    x: np.ndarray,
-    prior: ScorePrior,
-    fm: ForwardModel,
-    y: np.ndarray,
-    t: int,
-    zeta: np.ndarray,
-    dc_weight: float,
-) -> np.ndarray:
-    et = eta(prior.schedule, t)
-    grad = score(prior, x, t)
-    if dc_weight != 0.0:
-        grad = grad + dc_weight * apply_adjoint(fm, y - apply_forward(fm, x))
-    return x + et * grad + math.sqrt(2.0 * et) * zeta
-
-
 def csgm_step(
     x: np.ndarray,
     prior: ScorePrior,
     fm: ForwardModel,
     y: np.ndarray,
     t: int,
-    rng: np.random.Generator,
+    zeta: np.ndarray,
     dc_weight: float = 1.0,
 ) -> np.ndarray:
     """Posterior-score Langevin baseline: one gradient step on
     score + dc_weight * A^H (y - A x), no inner solve."""
-    return _csgm(x, prior, fm, y, t, _complex_normal(rng, x.shape), dc_weight)
+    et = eta(prior.schedule, t)
+    grad = score(prior, x, t)
+    if dc_weight != 0.0:
+        grad = grad + dc_weight * apply_adjoint(fm, y - apply_forward(fm, x))
+    return x + et * grad + math.sqrt(2.0 * et) * zeta
 
 
 def run_reconstruction(
@@ -251,7 +225,7 @@ def run_reconstruction(
         sure_val = float("nan")
 
         if am_path:
-            x_plus = _langevin(x, prior, t, zeta)
+            x_plus = langevin_step(x, prior, t, zeta)
             x_next = cg_solve(fm, lam_t, x_zf, x_plus, cfg.cg_iters)
             if use_sure:
                 # h as a function of the zero-filled input, with the Langevin
@@ -267,10 +241,10 @@ def run_reconstruction(
                     )
                     update_lambda(state, grad, ttt, t, freeze)
         else:
-            x_next = _csgm(x, prior, fm, y, t, zeta, cfg.dc_weight)
+            x_next = csgm_step(x, prior, fm, y, t, zeta, cfg.dc_weight)
             if use_sure:
                 def h(v: np.ndarray, lmb: float) -> np.ndarray:
-                    return _csgm(v, prior, fm, y, t, zeta, cfg.dc_weight)
+                    return csgm_step(v, prior, fm, y, t, zeta, cfg.dc_weight)
 
                 sure_val = mc_sure(h, x, x_zf, lam_t, sure_cfg, rng, h_at_x=x_next)
 
@@ -295,7 +269,6 @@ def run_reconstruction(
 
         x = x_next
         if use_es and early_stop_check(state.sure_history, window):
-            state.stopped = True
             stop_step = t + 1
             break
 
@@ -314,7 +287,4 @@ def write_trace_csv(report: ReconReport, path) -> None:
             f"{row.t},{float(row.sure)!r},{float(row.lam)!r},"
             f"{float(row.mse)!r},{float(row.psnr)!r}"
         )
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -96,7 +96,6 @@ class TttState:
     v: float = 0.0
     steps_taken: int = 0
     sure_history: list[float] = field(default_factory=list)
-    stopped: bool = False
 
 
 def draw_probe(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -113,6 +112,28 @@ def perturbation_scale(cfg: SureConfig, x: np.ndarray) -> float:
     return eps
 
 
+def _probe_evaluator(
+    h: UpdateFn, x_t: np.ndarray, x_zf: np.ndarray, cfg: SureConfig, rng: np.random.Generator
+) -> Callable[..., float]:
+    """Draw one probe set at x_t and return `sure_at(lam, h0=None)`, the
+    variance-free SURE of h at (x_t, lam) averaged over those probes."""
+    eps = perturbation_scale(cfg, x_t)
+    mus = [draw_probe(rng, x_t.shape) for _ in range(cfg.probes)]
+    n = x_t.size
+
+    def sure_at(lam: float, h0: np.ndarray | None = None) -> float:
+        h0 = h(x_t, lam) if h0 is None else h0
+        base = norm2(h0 - x_zf)
+        total = 0.0
+        for mu in mus:
+            h1 = h(x_t + eps * mu, lam)
+            probe_term = float(np.vdot(mu, h1 - h0).real) / eps
+            total += base * probe_term / n
+        return total / len(mus)
+
+    return sure_at
+
+
 def mc_sure(
     h: UpdateFn,
     x_t: np.ndarray,
@@ -127,17 +148,7 @@ def mc_sure(
     `h_at_x` optionally supplies the already-committed h(x_t, lam) so the
     loss is evaluated on exactly the update that was applied.
     """
-    eps = perturbation_scale(cfg, x_t)
-    h0 = h(x_t, lam) if h_at_x is None else h_at_x
-    n = x_t.size
-    base = norm2(h0 - x_zf)
-    total = 0.0
-    for _ in range(cfg.probes):
-        mu = draw_probe(rng, x_t.shape)
-        h1 = h(x_t + eps * mu, lam)
-        probe_term = float(np.vdot(mu, h1 - h0).real) / eps
-        total += base * probe_term / n
-    return total / cfg.probes
+    return _probe_evaluator(h, x_t, x_zf, cfg, rng)(lam, h_at_x)
 
 
 def sure_known_sigma(
@@ -171,19 +182,7 @@ def grad_sure_lambda(
     difference when lam +/- delta would leave [lambda_min, lambda_max].
     """
     delta = max(1e-4, 1e-2 * lam)
-    eps = perturbation_scale(cfg, x_t)
-    mus = [draw_probe(rng, x_t.shape) for _ in range(cfg.probes)]
-    n = x_t.size
-
-    def sure_at(lmb: float) -> float:
-        h0 = h(x_t, lmb)
-        base = norm2(h0 - x_zf)
-        total = 0.0
-        for mu in mus:
-            h1 = h(x_t + eps * mu, lmb)
-            total += base * float(np.vdot(mu, h1 - h0).real) / (eps * n)
-        return total / len(mus)
-
+    sure_at = _probe_evaluator(h, x_t, x_zf, cfg, rng)
     lo, hi = lam - delta, lam + delta
     if hi > lambda_max:
         return (sure_at(lam) - sure_at(lo)) / delta

@@ -39,6 +39,17 @@ class UnknownDtypeError(TensorFileError):
     pass
 
 
+def atomic_write(path, data: str | bytes) -> None:
+    """Write `data` (text is UTF-8 encoded) to a temp file, then rename it
+    over `path`, so a reader never sees a partial file."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def save_tensor(path, data: np.ndarray) -> None:
     """Write `data` atomically (temp file + rename) in the container format."""
     data = np.asarray(data)
@@ -49,11 +60,7 @@ def save_tensor(path, data: np.ndarray) -> None:
     header = MAGIC + struct.pack("<III", VERSION, tag, len(dims))
     header += struct.pack(f"<{len(dims)}I", *dims)
     payload = np.ascontiguousarray(data.astype(_TAG_TO_DTYPE[tag], copy=False)).tobytes()
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    os.replace(tmp, path)
+    atomic_write(path, header + payload)
 
 
 def load_tensor(path) -> np.ndarray:

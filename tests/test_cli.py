@@ -1,14 +1,15 @@
+import dataclasses
 import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smrd.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from smrd.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _resolve_config, build_parser, main
 from smrd.config import ExperimentConfig, build_forward_model, build_phantom
 from smrd.forward import apply_adjoint, apply_forward
 from smrd.metrics import psnr
-from smrd.tensorfile import load_tensor
+from smrd.tensorfile import load_tensor, save_tensor
 
 FAST = [
     "--size", "32", "--coils", "2", "--levels", "10", "--steps-per-level", "3",
@@ -211,3 +212,65 @@ def test_divergent_run_is_numerical_error(tmp_path):
     code = run_cli("recon", *FAST, "--method", "am_fixed", "--eps0", "1e8",
                    "--out", out)
     assert code == EXIT_NUMERIC
+
+
+# loaded inputs are checked against the config ---------------------------
+
+@pytest.mark.parametrize(
+    "flags, bad_file",
+    [(["--size", "48"], "truth.smrd"), (["--coils", "3"], "coils.smrd")],
+    ids=["size", "coils"],
+)
+def test_recon_config_mismatch_is_io_error(tmp_path, capsys, flags, bad_file):
+    out = tmp_path / "sim"
+    run_cli("simulate", *FAST, "--out", out)
+    assert run_cli("recon", *FAST, *flags, "--method", "am_fixed", "--out", out) == EXIT_IO
+    assert bad_file in capsys.readouterr().err
+
+
+def test_recon_mask_shape_mismatch_is_io_error(tmp_path, capsys):
+    out = tmp_path / "sim"
+    run_cli("simulate", *FAST, "--out", out)
+    save_tensor(out / "mask.smrd", np.ones((16, 16), dtype=np.uint8))
+    assert run_cli("recon", *FAST, "--method", "am_fixed", "--out", out) == EXIT_IO
+    assert "mask.smrd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, method", [("kspace", "smrd"), ("kspace", "am_fixed"), ("coils", "smrd")]
+)
+def test_recon_nonfinite_input_is_io_error(tmp_path, capsys, name, method):
+    out = tmp_path / "sim"
+    run_cli("simulate", *FAST, "--sigma", "0.02", "--out", out)
+    data = load_tensor(out / f"{name}.smrd")
+    data[0, 0, 0] = np.nan
+    save_tensor(out / f"{name}.smrd", data)
+    assert run_cli("recon", *FAST, "--sigma", "0.02", "--method", method,
+                   "--out", out) == EXIT_IO
+    assert f"{name}.smrd" in capsys.readouterr().err
+
+
+# CLI flags are derived from the config fields ----------------------------
+
+# a valid non-default value for each text field; numeric fields use default + 1
+TEXT_VALUES = {
+    "phantom": "blob_grid", "phase": "smooth", "mask": "poisson", "prior": "smoothness",
+    "prior_mean": "zero", "method": "am_fixed", "out": "elsewhere",
+}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+def test_every_config_field_has_a_typed_flag(field):
+    default = getattr(ExperimentConfig(), field.name)
+    value = TEXT_VALUES[field.name] if isinstance(default, str) else default + 1
+    flag = f"--{field.name.replace('_', '-')}"
+    cfg = _resolve_config(build_parser().parse_args(["recon", flag, str(value)]))
+    got = getattr(cfg, field.name)
+    assert type(got) is type(default)
+    assert got == value
+
+
+@pytest.mark.parametrize("flag", ["--phantom", "--phase", "--mask", "--prior",
+                                  "--prior-mean", "--method"])
+def test_bad_kind_value_is_config_error(tmp_path, flag):
+    assert run_cli("simulate", *FAST, flag, "nope", "--out", tmp_path) == EXIT_CONFIG

@@ -8,7 +8,6 @@ from smrd.forward import (
     add_kspace_noise,
     apply_adjoint,
     apply_forward,
-    density_compensate,
     make_equispaced_mask,
     make_poisson_disc_mask,
     poisson_local_radii,
@@ -253,43 +252,3 @@ def test_noise_negative_sigma_rejected():
     with pytest.raises(ValueError):
         NoiseSpec(sigma=-1.0)
 
-
-# density compensation ---------------------------------------------------
-
-def test_density_full_mask_unchanged():
-    mask = SamplingMask(keep=np.ones((16, 16), dtype=bool), accel=1.0)
-    rng = np.random.default_rng(12)
-    y = random_complex(rng, (2, 16, 16))
-    assert np.array_equal(density_compensate(y, mask), y)
-
-
-def test_density_uniform_equispaced_constant_scale():
-    mask = make_equispaced_mask(32, 32, 2.0, 0.0, seed=0)
-    y = np.ones((1, 32, 32), dtype=complex)
-    out = density_compensate(y, mask)
-    kept_vals = out[0][mask.keep]
-    assert np.max(np.abs(kept_vals - kept_vals[0])) < 1e-12
-
-
-def test_density_matches_box_count_oracle():
-    mask = make_poisson_disc_mask(64, 64, 8.0, calib=16, seed=6)
-    rng = np.random.default_rng(13)
-    y = random_complex(rng, (1, 64, 64))
-    out = density_compensate(y, mask)
-    keep = mask.keep
-    h, w = keep.shape
-    # oracle: direct box count over the periodic 7x7 window
-    density = np.zeros((h, w))
-    for i in range(h):
-        for j in range(w):
-            count = 0
-            for di in range(-3, 4):
-                for dj in range(-3, 4):
-                    count += keep[(i + di) % h, (j + dj) % w]
-            density[i, j] = count / 49.0
-    r0, r1, c0, c1 = mask.calib
-    ref = density[r0:r1, c0:c1].mean()
-    for i, j in np.argwhere(keep)[::17]:
-        want = y[0, i, j] * ref / density[i, j]
-        assert abs(out[0, i, j] - want) < 1e-12
-    assert not out[0][~keep].any()

@@ -7,8 +7,6 @@ from smrd.phantom import PhantomSpec, make_phantom, make_synth_coils
 from smrd.priors import NoiseSchedule, ScorePrior, eta, score
 from smrd.sampler import (
     SamplerConfig,
-    _langevin,
-    am_update,
     cg_solve,
     csgm_step,
     langevin_step,
@@ -48,7 +46,7 @@ def test_langevin_zero_prior_zero_noise_is_identity():
     prior = ScorePrior(kind="zero")
     rng = np.random.default_rng(0)
     x = random_complex(rng, (8, 8))
-    out = _langevin(x, prior, 0, np.zeros_like(x))
+    out = langevin_step(x, prior, 0, np.zeros_like(x))
     assert np.array_equal(out, x)
 
 
@@ -56,8 +54,9 @@ def test_langevin_deterministic():
     prior = ScorePrior(kind="gaussian", mean=None, tau2=1.0)
     rng = np.random.default_rng(1)
     x = random_complex(rng, (8, 8))
-    a = langevin_step(x, prior, 3, np.random.default_rng(42))
-    b = langevin_step(x, prior, 3, np.random.default_rng(42))
+    zeta = random_complex(np.random.default_rng(42), x.shape)
+    a = langevin_step(x, prior, 3, zeta)
+    b = langevin_step(x, prior, 3, zeta.copy())
     assert np.array_equal(a, b)
 
 
@@ -65,7 +64,7 @@ def test_langevin_scalar_closed_form():
     # eta = 0.5, gaussian prior (mean 0, tau2 1, beta 1): 2 + 0.5 * (-1) = 1.5
     sched = NoiseSchedule(levels=1, beta_max=2.0, beta_min=1.0, steps_per_level=1, eps0=0.5)
     prior = ScorePrior(kind="gaussian", schedule=sched, mean=None, tau2=1.0)
-    out = _langevin(np.array([[2.0 + 0j]]), prior, 0, np.zeros((1, 1)))
+    out = langevin_step(np.array([[2.0 + 0j]]), prior, 0, np.zeros((1, 1)))
     assert out[0, 0] == pytest.approx(1.5)
 
 
@@ -124,17 +123,7 @@ def test_cg_rejects_nonpositive_lambda():
         cg_solve(fm, -1.0, z, z, 5)
 
 
-# am_update --------------------------------------------------------------
-
-def test_am_update_equals_cg_on_adjoint():
-    fm = unit_model(8, 8, accel=2.0, seed=7)
-    rng = np.random.default_rng(6)
-    y = random_complex(rng, (1, 8, 8)) * fm.mask.keep
-    x_plus = random_complex(rng, (8, 8))
-    got = am_update(fm, y, x_plus, 2.0, 5)
-    want = cg_solve(fm, 2.0, apply_adjoint(fm, y), x_plus, 5)
-    assert np.array_equal(got, want)
-
+# data-consistency update: cg_solve on the zero-filled image A^H y ------
 
 def test_am_update_inverts_fully_sampled_data():
     h = w = 32
@@ -142,7 +131,7 @@ def test_am_update_inverts_fully_sampled_data():
     fm = ForwardModel(sens=make_synth_coils(h, w, 4, 0), mask=mask)
     truth = make_phantom(PhantomSpec(size=h), 0)
     y = apply_forward(fm, truth)
-    out = am_update(fm, y, np.zeros_like(truth), 1e-6, 10)
+    out = cg_solve(fm, 1e-6, apply_adjoint(fm, y), np.zeros_like(truth), 10)
     assert psnr(truth, out) >= 80.0
 
 
@@ -156,8 +145,12 @@ def test_am_update_affine_in_inputs_when_converged():
     p1 = random_complex(rng, (8, 8))
     p2 = random_complex(rng, (8, 8))
     a, b = 0.6, 0.4
-    lhs = am_update(fm, a * y1 + b * y2, a * p1 + b * p2, 2.0, 5)
-    rhs = a * am_update(fm, y1, p1, 2.0, 5) + b * am_update(fm, y2, p2, 2.0, 5)
+
+    def am_update(y, x_plus):
+        return cg_solve(fm, 2.0, apply_adjoint(fm, y), x_plus, 5)
+
+    lhs = am_update(a * y1 + b * y2, a * p1 + b * p2)
+    rhs = a * am_update(y1, p1) + b * am_update(y2, p2)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -180,8 +173,9 @@ def test_csgm_zero_dc_weight_matches_langevin():
     rng = np.random.default_rng(9)
     x = random_complex(rng, (8, 8))
     y = random_complex(rng, (1, 8, 8)) * fm.mask.keep
-    a = csgm_step(x, prior, fm, y, 2, np.random.default_rng(3), dc_weight=0.0)
-    b = langevin_step(x, prior, 2, np.random.default_rng(3))
+    zeta = random_complex(np.random.default_rng(3), x.shape)
+    a = csgm_step(x, prior, fm, y, 2, zeta, dc_weight=0.0)
+    b = langevin_step(x, prior, 2, zeta)
     assert np.array_equal(a, b)
 
 
@@ -192,8 +186,9 @@ def test_csgm_data_term_vanishes_on_consistent_iterate():
     truth = make_phantom(PhantomSpec(size=h), 1)
     y = apply_forward(fm, truth)
     prior = ScorePrior(kind="zero")
-    out = csgm_step(truth, prior, fm, y, 0, np.random.default_rng(0), dc_weight=1.0)
-    base = langevin_step(truth, prior, 0, np.random.default_rng(0))
+    zeta = random_complex(np.random.default_rng(0), truth.shape)
+    out = csgm_step(truth, prior, fm, y, 0, zeta, dc_weight=1.0)
+    base = langevin_step(truth, prior, 0, zeta)
     assert np.max(np.abs(out - base)) < 1e-10
 
 
@@ -204,9 +199,7 @@ def test_csgm_scalar_recursion():
     prior = ScorePrior(kind="gaussian", schedule=sched, mean=None, tau2=1.0)
     x = np.array([[2.0 + 0j]])
     y = np.array([[[1.0 + 0j]]])
-    from smrd.sampler import _csgm
-
-    out = _csgm(x, prior, fm, y, 0, np.zeros((1, 1)), 1.0)
+    out = csgm_step(x, prior, fm, y, 0, np.zeros((1, 1)), 1.0)
     want = 2.0 + 0.25 * (-1.0 + (1.0 - 2.0))
     assert out[0, 0] == pytest.approx(want)
 
@@ -326,7 +319,7 @@ def test_composite_step_contracts_on_full_mask():
 
     for lam in (0.1, 1.0, 100.0, 1000.0):
         def step(v):
-            return cg_solve(fm, lam, x_zf, _langevin(v, prior, t, np.zeros((h, w))), 8)
+            return cg_solve(fm, lam, x_zf, langevin_step(v, prior, t, np.zeros((h, w))), 8)
 
         origin = step(np.zeros((h, w), dtype=complex))
         v = random_complex(rng, (h, w))

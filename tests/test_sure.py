@@ -170,6 +170,28 @@ def test_grad_negative_when_sure_decreases_in_lambda():
     assert g < 0
 
 
+def test_grad_is_central_difference_of_mc_sure_bitwise():
+    # grad_sure_lambda and mc_sure evaluate probes with the same arithmetic,
+    # so with the same probe stream the gradient is exactly the central
+    # difference of two mc_sure values
+    rng = np.random.default_rng(22)
+    x_t = random_complex(rng, (8, 8))
+    x_zf = random_complex(rng, (8, 8))
+    w = 1.0 + 0.1 * random_complex(rng, (8, 8))
+
+    def h(v, lam):
+        return (x_zf + lam * w * v) / (1.0 + lam * np.abs(w))
+
+    cfg = SureConfig(probes=3)
+    lam = 2.0
+    delta = max(1e-4, 1e-2 * lam)
+    for seed in range(21, 26):
+        g = grad_sure_lambda(h, x_t, x_zf, lam, cfg, np.random.default_rng(seed))
+        hi = mc_sure(h, x_t, x_zf, lam + delta, cfg, np.random.default_rng(seed))
+        lo = mc_sure(h, x_t, x_zf, lam - delta, cfg, np.random.default_rng(seed))
+        assert g == (hi - lo) / (2.0 * delta)
+
+
 def test_grad_one_sided_at_bounds():
     rng = np.random.default_rng(18)
     x_t = random_complex(rng, (4, 4))
