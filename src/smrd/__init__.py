@@ -30,6 +30,7 @@ from .sampler import (
 )
 from .sure import (
     EarlyStopConfig,
+    NumericalError,
     SureConfig,
     TttConfig,
     TttState,

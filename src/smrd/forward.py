@@ -6,10 +6,9 @@ centered orthonormal FFT and a binary k-space sampling mask:
     forward(x)[c] = mask * fft2c(sens[c] * x)
     adjoint(y)    = sum_c conj(sens[c]) * ifft2c(mask * y[c])
 
-Masks carry the declared acceleration and an optional fully sampled
-calibration region; generators keep the realized acceleration within 10%
-of the request. Measurement noise is complex Gaussian added only at kept
-k-space locations.
+Mask generators acquire an optional fully sampled calibration region and
+keep the realized acceleration within 10% of the request. Measurement
+noise is complex Gaussian added only at kept k-space locations.
 """
 
 from __future__ import annotations
@@ -28,15 +27,12 @@ class SamplingMask:
     Attributes:
         keep: boolean (h, w) array, True where k-space is acquired.
         accel: declared acceleration factor R.
-        calib: fully sampled calibration block as (r0, r1, c0, c1) row/col
-            bounds, or None when the pattern has no calibration region.
         poisson_radius: base dart-throwing radius selected by the Poisson
             disc generator (None for other mask kinds).
     """
 
     keep: np.ndarray
     accel: float
-    calib: tuple[int, int, int, int] | None = None
     poisson_radius: float | None = None
 
     @property
@@ -78,10 +74,6 @@ class ForwardModel:
             )
 
     @property
-    def coils(self) -> int:
-        return self.sens.shape[0]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.mask.shape
 
@@ -115,12 +107,9 @@ def make_equispaced_mask(
         raise ValueError(f"acs_fraction must be in [0, 1), got {acs_fraction}")
 
     n_acs = int(np.ceil(acs_fraction * w))
-    calib = None
     cols = np.zeros(w, dtype=bool)
-    if n_acs > 0:
-        c0 = (w - n_acs) // 2
-        cols[c0 : c0 + n_acs] = True
-        calib = (0, h, c0, c0 + n_acs)
+    c0 = (w - n_acs) // 2
+    cols[c0 : c0 + n_acs] = True
 
     n_target = int(round(w / accel))
     if n_acs > np.ceil(1.1 * n_target):
@@ -137,7 +126,7 @@ def make_equispaced_mask(
 
     keep = np.broadcast_to(cols, (h, w)).copy()
     _check_realized(keep, accel)
-    return SamplingMask(keep=keep, accel=float(accel), calib=calib)
+    return SamplingMask(keep=keep, accel=float(accel))
 
 
 def poisson_local_radii(h: int, w: int, base: float) -> np.ndarray:
@@ -200,13 +189,9 @@ def make_poisson_disc_mask(
     if accel < 1:
         raise ValueError(f"infeasible acceleration {accel}: more points than pixels")
 
-    r0 = (h - calib) // 2
-    c0 = (w - calib) // 2
-    calib_region = (r0, r0 + calib, c0, c0 + calib) if calib > 0 else None
-
     if accel == 1:
         keep = np.ones((h, w), dtype=bool)
-        return SamplingMask(keep=keep, accel=1.0, calib=calib_region, poisson_radius=0.0)
+        return SamplingMask(keep=keep, accel=1.0, poisson_radius=0.0)
 
     target = h * w / accel
     if calib * calib > 1.1 * target:
@@ -214,9 +199,10 @@ def make_poisson_disc_mask(
             f"calibration block {calib}x{calib} exceeds the budget for accel {accel}"
         )
 
+    r0 = (h - calib) // 2
+    c0 = (w - calib) // 2
     in_calib = np.zeros((h, w), dtype=bool)
-    if calib_region is not None:
-        in_calib[r0 : r0 + calib, c0 : c0 + calib] = True
+    in_calib[r0 : r0 + calib, c0 : c0 + calib] = True
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(h * w)
@@ -258,9 +244,7 @@ def make_poisson_disc_mask(
         best, base_used = keep, mid
 
     _check_realized(best, accel)
-    return SamplingMask(
-        keep=best, accel=float(accel), calib=calib_region, poisson_radius=float(base_used)
-    )
+    return SamplingMask(keep=best, accel=float(accel), poisson_radius=float(base_used))
 
 
 def apply_forward(fm: ForwardModel, x: np.ndarray) -> np.ndarray:

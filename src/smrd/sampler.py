@@ -28,6 +28,7 @@ from .fourier import norm2
 from .priors import ScorePrior, eta, score
 from .sure import (
     EarlyStopConfig,
+    NumericalError,
     SureConfig,
     TttConfig,
     TttState,
@@ -45,15 +46,10 @@ _AXES = (-2, -1)
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Reconstruction driver settings.
-
-    total_steps=None runs the prior schedule's full length; a smaller value
-    runs a prefix of it.
-    """
+    """Reconstruction driver settings."""
 
     method: str = "smrd"
     cg_iters: int = 5
-    total_steps: int | None = None
     dc_weight: float = 1.0  # posterior-score baselines only
     seed: int = 0
 
@@ -62,8 +58,6 @@ class SamplerConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.cg_iters < 1:
             raise ValueError("cg_iters must be >= 1")
-        if self.total_steps is not None and self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
 
 
 @dataclass
@@ -84,7 +78,6 @@ class ReconReport:
     final: np.ndarray
     stop_step: int
     trace: list[TraceRow] = field(default_factory=list)
-    method: str = "smrd"
 
     @property
     def final_lambda(self) -> float:
@@ -94,6 +87,12 @@ class ReconReport:
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     # unit variance per real/imag component
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _require_finite(value: float, what: str, method: str, t: int | None = None) -> None:
+    if not math.isfinite(value):
+        where = "" if t is None else f" at step {t}"
+        raise NumericalError(f"{method}: non-finite {what}{where}")
 
 
 def langevin_step(x: np.ndarray, prior: ScorePrior, t: int, zeta: np.ndarray) -> np.ndarray:
@@ -191,6 +190,8 @@ def run_reconstruction(
 
     The trace holds one row per executed step; rows carry true MSE/PSNR
     only when `truth` is given. Fully deterministic for a given rng state.
+    Raises NumericalError, naming the method and step, at the first
+    non-finite image energy, SURE value or lambda gradient.
     """
     cfg = sampler_cfg or SamplerConfig()
     ttt = ttt or TttConfig()
@@ -199,19 +200,16 @@ def run_reconstruction(
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
 
     x_zf = apply_adjoint(fm, y)
+    # images are checked by energy, which also overflows on finite but huge entries
+    _require_finite(norm2(x_zf), "zero-filled image energy", cfg.method)
     if cfg.method == "zero_filled":
-        return ReconReport(final=x_zf, stop_step=0, trace=[], method=cfg.method)
+        return ReconReport(final=x_zf, stop_step=0, trace=[])
 
-    total = prior.total_steps if cfg.total_steps is None else cfg.total_steps
-    if total > prior.total_steps:
-        raise ValueError(
-            f"total_steps {total} exceeds the schedule length {prior.total_steps}"
-        )
+    total = prior.total_steps
     window = es.resolve_window(total)
     freeze = ttt.freeze_step(total)
     use_ttt = cfg.method == "smrd"
-    use_sure = cfg.method in ("smrd", "csgm_es")
-    use_es = cfg.method in ("smrd", "csgm_es")
+    use_sure = cfg.method in ("smrd", "csgm_es")  # SURE also drives early stopping
     am_path = cfg.method in ("smrd", "am_fixed")
 
     x = _complex_normal(rng, fm.shape)
@@ -222,34 +220,34 @@ def run_reconstruction(
     for t in range(total):
         lam_t = state.lam
         zeta = _complex_normal(rng, x.shape)
-        sure_val = float("nan")
 
         if am_path:
             x_plus = langevin_step(x, prior, t, zeta)
-            x_next = cg_solve(fm, lam_t, x_zf, x_plus, cfg.cg_iters)
-            if use_sure:
-                # h as a function of the zero-filled input, with the Langevin
-                # iterate frozen: truncating the recursion through x_t leaves
-                # only this step's explicit dependence on x_zf.
-                def h(v: np.ndarray, lmb: float) -> np.ndarray:
-                    return cg_solve(fm, lmb, v, x_plus, cfg.cg_iters)
 
-                sure_val = mc_sure(h, x_zf, x_zf, lam_t, sure_cfg, rng, h_at_x=x_next)
-                if use_ttt and t < freeze:
-                    grad = grad_sure_lambda(
-                        h, x_zf, x_zf, lam_t, sure_cfg, rng, ttt.lambda_min, ttt.lambda_max
-                    )
-                    update_lambda(state, grad, ttt, t, freeze)
+            # h as a function of the zero-filled input, with the Langevin
+            # iterate frozen: truncating the recursion through x_t leaves
+            # only this step's explicit dependence on x_zf.
+            def h(v: np.ndarray, lmb: float) -> np.ndarray:
+                return cg_solve(fm, lmb, v, x_plus, cfg.cg_iters)
+
+            v_t = x_zf
         else:
-            x_next = csgm_step(x, prior, fm, y, t, zeta, cfg.dc_weight)
-            if use_sure:
-                def h(v: np.ndarray, lmb: float) -> np.ndarray:
-                    return csgm_step(v, prior, fm, y, t, zeta, cfg.dc_weight)
+            def h(v: np.ndarray, lmb: float) -> np.ndarray:
+                return csgm_step(v, prior, fm, y, t, zeta, cfg.dc_weight)
 
-                sure_val = mc_sure(h, x, x_zf, lam_t, sure_cfg, rng, h_at_x=x_next)
+            v_t = x
+        x_next = h(v_t, lam_t)
+        _require_finite(norm2(x_next), "iterate energy", cfg.method, t)
 
+        sure_val = float("nan")
         if use_sure:
+            sure_val = mc_sure(h, v_t, x_zf, lam_t, sure_cfg, rng, h_at_x=x_next)
+            _require_finite(sure_val, "SURE value", cfg.method, t)
             state.sure_history.append(sure_val)
+        if use_ttt and t < freeze:
+            grad = grad_sure_lambda(h, x_zf, x_zf, lam_t, sure_cfg, rng)
+            _require_finite(grad, "lambda gradient", cfg.method, t)
+            update_lambda(state, grad, ttt)
 
         if truth is not None:
             mse = float(np.mean(np.abs(x_next - truth) ** 2))
@@ -268,11 +266,11 @@ def run_reconstruction(
         )
 
         x = x_next
-        if use_es and early_stop_check(state.sure_history, window):
+        if use_sure and early_stop_check(state.sure_history, window):
             stop_step = t + 1
             break
 
-    return ReconReport(final=x, stop_step=stop_step, trace=trace, method=cfg.method)
+    return ReconReport(final=x, stop_step=stop_step, trace=trace)
 
 
 def write_trace_csv(report: ReconReport, path) -> None:

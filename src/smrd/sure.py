@@ -30,21 +30,29 @@ from .fourier import norm2
 
 LAMBDA_MIN = 1e-4
 LAMBDA_MAX = 1e4
+EPS_FLOOR = 1e-8  # absolute floor on the probe scale, keeps eps > 0 on tiny iterates
+# Adam's constants (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 UpdateFn = Callable[[np.ndarray, float], np.ndarray]
+
+
+class NumericalError(ArithmeticError):
+    """A reconstruction or its controller produced a non-finite value."""
 
 
 @dataclass(frozen=True)
 class SureConfig:
     """Probe policy for Monte-Carlo SURE."""
 
-    eps_rel: float = 1e-3    # perturbation scale relative to max |x_t|
-    eps_floor: float = 1e-8  # absolute floor, keeps eps > 0 on tiny iterates
+    eps_rel: float = 1e-3  # perturbation scale relative to max |x_t|
     probes: int = 1
 
     def __post_init__(self) -> None:
-        if self.eps_rel <= 0 or self.eps_floor <= 0:
-            raise ValueError("perturbation scales must be positive")
+        if self.eps_rel <= 0:
+            raise ValueError("eps_rel must be positive")
         if self.probes < 1:
             raise ValueError("probes must be >= 1")
 
@@ -55,12 +63,7 @@ class TttConfig:
 
     lambda0: float = 2.0
     alpha: float = 0.2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     freeze_fraction: float = 0.43  # no lambda updates from ceil(frac * T) on
-    lambda_min: float = LAMBDA_MIN
-    lambda_max: float = LAMBDA_MAX
 
     def __post_init__(self) -> None:
         if self.lambda0 <= 0 or self.alpha <= 0:
@@ -106,9 +109,9 @@ def draw_probe(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def perturbation_scale(cfg: SureConfig, x: np.ndarray) -> float:
-    eps = max(cfg.eps_rel * float(np.max(np.abs(x))), cfg.eps_floor)
-    if not np.isfinite(eps) or eps <= 0:
-        raise ValueError(f"degenerate perturbation scale {eps}")
+    eps = max(cfg.eps_rel * float(np.max(np.abs(x))), EPS_FLOOR)
+    if not np.isfinite(eps):
+        raise NumericalError(f"degenerate perturbation scale {eps}")
     return eps
 
 
@@ -172,42 +175,38 @@ def grad_sure_lambda(
     lam: float,
     cfg: SureConfig,
     rng: np.random.Generator,
-    lambda_min: float = LAMBDA_MIN,
-    lambda_max: float = LAMBDA_MAX,
 ) -> float:
     """d SURE / d lambda by central finite differences.
 
     All evaluations share one frozen probe set (and whatever noise h has
     captured), so the difference isolates lambda. Falls back to a one-sided
-    difference when lam +/- delta would leave [lambda_min, lambda_max].
+    difference when lam +/- delta would leave [LAMBDA_MIN, LAMBDA_MAX].
     """
     delta = max(1e-4, 1e-2 * lam)
     sure_at = _probe_evaluator(h, x_t, x_zf, cfg, rng)
     lo, hi = lam - delta, lam + delta
-    if hi > lambda_max:
+    if hi > LAMBDA_MAX:
         return (sure_at(lam) - sure_at(lo)) / delta
-    if lo < lambda_min:
+    if lo < LAMBDA_MIN:
         return (sure_at(hi) - sure_at(lam)) / delta
     return (sure_at(hi) - sure_at(lo)) / (2.0 * delta)
 
 
-def update_lambda(
-    state: TttState, grad: float, cfg: TttConfig, t: int, freeze_step: int
-) -> TttState:
-    """One adaptive-moment descent step on lambda, clamped to bounds.
-
-    No-op from the freeze step onward. Mutates and returns `state`.
+def update_lambda(state: TttState, grad: float, cfg: TttConfig) -> TttState:
+    """One adaptive-moment descent step on lambda, clamped to
+    [LAMBDA_MIN, LAMBDA_MAX]. Mutates and returns `state`; a non-finite
+    gradient raises NumericalError and leaves `state` untouched.
     """
-    if t >= freeze_step:
-        return state
+    if not math.isfinite(grad):
+        raise NumericalError(f"non-finite lambda gradient {grad}")
     state.steps_taken += 1
     k = state.steps_taken
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = state.m / (1.0 - cfg.beta1**k)
-    v_hat = state.v / (1.0 - cfg.beta2**k)
-    state.lam -= cfg.alpha * m_hat / (math.sqrt(v_hat) + cfg.adam_eps)
-    state.lam = min(max(state.lam, cfg.lambda_min), cfg.lambda_max)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1**k)
+    v_hat = state.v / (1.0 - ADAM_BETA2**k)
+    state.lam -= cfg.alpha * m_hat / (math.sqrt(v_hat) + ADAM_EPS)
+    state.lam = min(max(state.lam, LAMBDA_MIN), LAMBDA_MAX)
     return state
 
 

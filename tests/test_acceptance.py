@@ -4,6 +4,7 @@ asserts at its stated tolerance and runtime budget."""
 import time
 
 import numpy as np
+import pytest
 
 import smrd
 from smrd.config import (
@@ -55,6 +56,22 @@ def reconstruct(cfg: ExperimentConfig, method: str, lambda0=None):
     rep = run_reconstruction(y, fm, prior, scfg, ttt, es, sure_cfg,
                              np.random.default_rng(scfg.seed), truth=truth)
     return truth, rep
+
+
+@pytest.fixture(scope="module")
+def shared_runs():
+    """Criterion 6's reconstructions, keyed by (accel, sigma, seed, method,
+    lambda0), for criterion 7 to reuse. A run criterion 6 has not stored is
+    computed on demand, so criterion 7 also passes on its own."""
+    return {}
+
+
+def reuse_or_reconstruct(runs, accel, sigma, seed, method, lambda0):
+    key = (accel, sigma, seed, method, lambda0)
+    if key not in runs:
+        cfg = ExperimentConfig(accel=accel, sigma=sigma, seed=seed)
+        runs[key] = reconstruct(cfg, method, lambda0=lambda0)
+    return runs[key]
 
 
 def test_criterion_1_adjoint_suite():
@@ -176,7 +193,7 @@ def test_criterion_5_sure_tracks_mse():
     report(5, ok, f"{passing}/5 seeds ({'; '.join(details)}) in {elapsed:.0f}s")
 
 
-def test_criterion_6_robustness_ordering():
+def test_criterion_6_robustness_ordering(shared_runs):
     start = time.time()
     ok = True
     details = []
@@ -189,6 +206,8 @@ def test_criterion_6_robustness_ordering():
                 smrd_vals.append(psnr(truth, rep_sm.final))
                 truth, rep_am = reconstruct(cfg, "am_fixed")
                 am_vals.append(psnr(truth, rep_am.final))
+                shared_runs[(accel, sigma, seed, "smrd", cfg.lambda0)] = truth, rep_sm
+                shared_runs[(accel, sigma, seed, "am_fixed", cfg.lambda0)] = truth, rep_am
             margin = float(np.mean(smrd_vals) - np.mean(am_vals))
             if sigma == 0.0:
                 cell_ok = margin >= -1.0
@@ -201,23 +220,23 @@ def test_criterion_6_robustness_ordering():
     report(6, ok, f"smrd-vs-am margins {'; '.join(details)} in {elapsed:.0f}s")
 
 
-def test_criterion_7_lambda_shift():
+def test_criterion_7_lambda_shift(shared_runs):
     grid = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+    lam0 = ExperimentConfig().lambda0  # criterion 6 ran smrd and am_fixed at it
     shift_hits = 0
     for seed in range(5):
         best = {}
         for sigma in (0.0, 0.02):
-            cfg = ExperimentConfig(accel=4.0, sigma=sigma, seed=seed)
             scores = []
             for lam in grid:
-                truth, rep = reconstruct(cfg, "am_fixed", lambda0=lam)
+                truth, rep = reuse_or_reconstruct(shared_runs, 4.0, sigma, seed, "am_fixed", lam)
                 scores.append(psnr(truth, rep.final))
             best[sigma] = grid[int(np.argmax(scores))]
         shift_hits += best[0.02] >= best[0.0]
     finals = {}
     for sigma in (0.0, 0.02):
         finals[sigma] = [
-            reconstruct(ExperimentConfig(accel=4.0, sigma=sigma, seed=seed), "smrd")[1].final_lambda
+            reuse_or_reconstruct(shared_runs, 4.0, sigma, seed, "smrd", lam0)[1].final_lambda
             for seed in range(5)
         ]
     mean_clean = float(np.mean(finals[0.0]))

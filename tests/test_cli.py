@@ -214,6 +214,22 @@ def test_divergent_run_is_numerical_error(tmp_path):
     assert code == EXIT_NUMERIC
 
 
+# The iterate's energy overflows at step 11 under every method; csgm_es's
+# SURE value (a product with that energy) overflows one step earlier.
+@pytest.mark.parametrize(
+    "method, step, what",
+    [("smrd", 11, "iterate energy"), ("am_fixed", 11, "iterate energy"),
+     ("csgm", 11, "iterate energy"), ("csgm_es", 10, "SURE value")],
+)
+def test_divergence_fails_at_first_nonfinite_step(tmp_path, capsys, method, step, what):
+    out = tmp_path / "sim"
+    run_cli("simulate", *FAST, "--out", out)
+    code = run_cli("recon", *FAST, "--method", method, "--eps0", "1e8", "--out", out)
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err.endswith(f"{method}: non-finite {what} at step {step}\n")
+    assert not (out / f"image_{method}.smrd").exists()
+
+
 # loaded inputs are checked against the config ---------------------------
 
 @pytest.mark.parametrize(

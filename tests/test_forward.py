@@ -74,11 +74,13 @@ def test_poisson_deterministic():
 
 
 def test_poisson_respects_local_radius_bound():
-    m = make_poisson_disc_mask(256, 256, 12.0, calib=16, seed=2)
-    radii = poisson_local_radii(256, 256, m.poisson_radius)
-    r0, r1, c0, c1 = m.calib
+    size, calib = 256, 16
+    m = make_poisson_disc_mask(size, size, 12.0, calib=calib, seed=2)
+    radii = poisson_local_radii(size, size, m.poisson_radius)
+    r0 = c0 = (size - calib) // 2
     keep = m.keep.copy()
-    keep[r0:r1, c0:c1] = False  # distance rule applies outside the calibration block
+    # distance rule applies outside the calibration block
+    keep[r0 : r0 + calib, c0 : c0 + calib] = False
     pts = np.argwhere(keep)
     rs = radii[keep]
     # brute-force pairwise scan

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from smrd.fourier import norm2
 from smrd.sure import (
+    LAMBDA_MAX,
+    LAMBDA_MIN,
     EarlyStopConfig,
+    NumericalError,
     SureConfig,
     TttConfig,
     TttState,
@@ -200,10 +203,7 @@ def test_grad_one_sided_at_bounds():
     def h(v, lam):
         return v * lam
 
-    g = grad_sure_lambda(
-        h, x_t, x_zf, 1e-4, SureConfig(), np.random.default_rng(19),
-        lambda_min=1e-4, lambda_max=1e4,
-    )
+    g = grad_sure_lambda(h, x_t, x_zf, LAMBDA_MIN, SureConfig(), np.random.default_rng(19))
     assert np.isfinite(g)
 
 
@@ -211,31 +211,43 @@ def test_grad_one_sided_at_bounds():
 
 def test_update_lambda_zero_grad_noop():
     state = TttState(lam=2.0)
-    update_lambda(state, 0.0, TttConfig(), t=0, freeze_step=100)
+    update_lambda(state, 0.0, TttConfig())
     assert state.lam == 2.0
-
-
-def test_update_lambda_frozen():
-    state = TttState(lam=2.0)
-    update_lambda(state, 5.0, TttConfig(), t=130, freeze_step=129)
-    assert state.lam == 2.0
-    assert state.steps_taken == 0
 
 
 def test_update_lambda_first_adam_step():
     cfg = TttConfig(lambda0=2.0, alpha=0.2)
     state = TttState(lam=2.0)
-    update_lambda(state, 1.0, cfg, t=0, freeze_step=100)
+    update_lambda(state, 1.0, cfg)
     want = 2.0 - 0.2 * 1.0 / (1.0 + 1e-8)  # bias-corrected first step
     assert state.lam == pytest.approx(want, abs=1e-6)
 
 
 def test_update_lambda_clamps():
-    cfg = TttConfig(lambda0=2.0, alpha=0.2, lambda_min=1.5, lambda_max=2.5)
-    state = TttState(lam=1.6)
-    for t in range(10):
-        update_lambda(state, 1.0, cfg, t=t, freeze_step=100)
-    assert state.lam == 1.5
+    # each step moves lambda by ~alpha against the gradient's sign
+    cfg = TttConfig(alpha=0.2)
+    low = TttState(lam=LAMBDA_MIN + 0.5)
+    high = TttState(lam=LAMBDA_MAX - 0.5)
+    for _ in range(10):
+        update_lambda(low, 1.0, cfg)
+        update_lambda(high, -1.0, cfg)
+    assert low.lam == LAMBDA_MIN
+    assert high.lam == LAMBDA_MAX
+
+
+@pytest.mark.parametrize("grad", [float("nan"), float("inf")])
+def test_update_lambda_rejects_nonfinite_grad(grad):
+    state = TttState(lam=2.0)
+    with pytest.raises(NumericalError):
+        update_lambda(state, grad, TttConfig())
+    assert (state.lam, state.m, state.v, state.steps_taken) == (2.0, 0.0, 0.0, 0)
+
+
+def test_mc_sure_nonfinite_iterate_is_numerical_error():
+    x_t = np.ones((4, 4), dtype=complex)
+    x_t[0, 0] = np.inf
+    with pytest.raises(NumericalError):
+        mc_sure(lambda v, lam: v, x_t, x_t, 1.0, SureConfig(), np.random.default_rng(0))
 
 
 # early_stop_check -------------------------------------------------------
