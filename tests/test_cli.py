@@ -206,6 +206,15 @@ def test_unwritable_output_is_io_error(tmp_path):
     assert run_cli("simulate", *FAST, "--out", blocker / "sub") == EXIT_IO
 
 
+def test_unrealizable_accel_is_config_error(tmp_path, capsys):
+    # 16 columns at R=6 keep round(16/6) = 3 columns: R=5.333, outside 10%
+    code = run_cli("simulate", "--size", 16, "--accel", 6, "--coils", 2, "--out", tmp_path)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: realized acceleration 5.333 outside 10% of requested 6.0")
+    assert "Traceback" not in err
+
+
 def test_divergent_run_is_numerical_error(tmp_path):
     out = tmp_path / "sim"
     run_cli("simulate", *FAST, "--out", out)

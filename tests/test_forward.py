@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from smrd import forward
 from smrd.forward import (
     ForwardModel,
     NoiseSpec,
     SamplingMask,
+    _dart_throw,
     add_kspace_noise,
     apply_adjoint,
     apply_forward,
@@ -61,6 +65,12 @@ def test_equispaced_rejects_excess_accel():
         make_equispaced_mask(16, 16, 17.0)
 
 
+def test_equispaced_unrealizable_accel_is_value_error():
+    # 16 columns at R=6 keep round(16/6) = 3 columns: R=5.333, outside 10%
+    with pytest.raises(ValueError, match="realized acceleration 5.333"):
+        make_equispaced_mask(16, 16, 6.0)
+
+
 def test_poisson_r1_is_full():
     m = make_poisson_disc_mask(32, 32, 1.0, calib=8, seed=0)
     assert m.keep.all()
@@ -83,14 +93,101 @@ def test_poisson_respects_local_radius_bound():
     keep[r0 : r0 + calib, c0 : c0 + calib] = False
     pts = np.argwhere(keep)
     rs = radii[keep]
-    # brute-force pairwise scan
-    d2 = (
-        (pts[:, None, 0] - pts[None, :, 0]) ** 2
-        + (pts[:, None, 1] - pts[None, :, 1]) ** 2
-    ).astype(float)
-    bound = np.minimum(rs[:, None], rs[None, :]) ** 2
-    np.fill_diagonal(d2, np.inf)
-    assert (d2 >= bound - 1e-9).all()
+    # brute-force pairwise scan, in row blocks to bound memory
+    block = 512
+    for s in range(0, len(pts), block):
+        p, r = pts[s : s + block], rs[s : s + block]
+        d2 = (
+            (p[:, None, 0] - pts[None, :, 0]) ** 2
+            + (p[:, None, 1] - pts[None, :, 1]) ** 2
+        ).astype(float)
+        bound = np.minimum(r[:, None], rs[None, :]) ** 2
+        d2[np.arange(len(p)), np.arange(s, s + len(p))] = np.inf
+        assert (d2 >= bound - 1e-9).all()
+
+
+def _dart_throw_scalar(order: np.ndarray, radii: np.ndarray, h: int, w: int) -> list[tuple[int, int]]:
+    """Greedy dart throwing: accept p iff dist(p, q) >= min(r(p), r(q)) for
+    all previously accepted q. `order` is a flat index permutation."""
+    base_max = float(radii.max())
+    cell = max(base_max, 1e-9)
+    grid: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
+    accepted: list[tuple[int, int]] = []
+    flat = radii.ravel()
+    for idx in order:
+        i, j = divmod(int(idx), w)
+        r_p = flat[idx]
+        ci, cj = int(i / cell), int(j / cell)
+        ok = True
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                for qi, qj, r_q in grid.get((ci + di, cj + dj), ()):
+                    m = r_p if r_p < r_q else r_q
+                    if (i - qi) * (i - qi) + (j - qj) * (j - qj) < m * m:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            accepted.append((i, j))
+            grid.setdefault((ci, cj), []).append((i, j, r_p))
+    return accepted
+
+
+# The scalar loop above is the reference the vectorized dart throw must
+# reproduce pixel for pixel and in the same order. Base radii <= 1 give no
+# conflicting pair at all.
+@pytest.mark.parametrize("h, w", [(16, 16), (64, 64), (96, 160), (128, 128), (256, 256)])
+@pytest.mark.parametrize("base", [0.5, 1.0, 1.5, 2.5, 4.0, 10.4, 13.9])
+def test_dart_throw_matches_scalar_reference(h, w, base):
+    radii = poisson_local_radii(h, w, base)
+    for seed in range(3):
+        order = np.random.default_rng(seed).permutation(h * w)
+        if seed == 2:  # leave out a calibration block, as the mask generator does
+            calib = np.zeros((h, w), dtype=bool)
+            calib[h // 2 - h // 8 : h // 2 + h // 8, w // 2 - w // 8 : w // 2 + w // 8] = True
+            order = order[~calib.ravel()[order]]
+        want = [i * w + j for i, j in _dart_throw_scalar(order, radii, h, w)]
+        assert _dart_throw(order, radii, h, w).tolist() == want
+
+
+def test_dart_throw_empty_order():
+    radii = poisson_local_radii(16, 16, 4.0)
+    assert _dart_throw(np.empty(0, dtype=np.int64), radii, 16, 16).size == 0
+
+
+def mask_digest(m):
+    return hashlib.sha256(m.keep.tobytes() + repr(m.poisson_radius).encode()).hexdigest()
+
+
+# SHA-256 of keep.tobytes() + repr(poisson_radius), as generated by the
+# scalar dart throw before it was vectorized.
+@pytest.mark.parametrize("args, digest", [
+    ((128, 128, 4, 16, 0), "9df2c4fb48e9ad663a82005517da68fee530b0f3deab3281b6c1eac51774f423"),
+    ((128, 128, 4, 16, 1), "048a4844e1aa12726925454f37ff86c7d2409dfe27f0141846120000921e99a8"),
+    ((128, 128, 4, 16, 2), "adae7baedcda12b9e4b1a776d010cbad0510f35ddbf4493e7dfa13c813a7fe9b"),
+    ((128, 128, 4, 16, 3), "80ba41163ecfc68622a219032a5363e618d029b6c0c801f43b45f66774900d46"),
+    ((64, 64, 12, 16, 5), "e96c7d9a6179e6798dfac157a881ac467bf92c33cad70ba762f11e8db48464f1"),
+    ((256, 256, 12, 16, 2), "14ca3b6029358aa2c960d4f60bf5cf1336bcb51c12cda0227076606a3908a730"),
+])
+def test_poisson_mask_golden_digest(args, digest):
+    assert mask_digest(make_poisson_disc_mask(*args)) == digest
+
+
+def test_poisson_throws_each_base_radius_once(monkeypatch):
+    thrown = []
+
+    def counting(order, radii, h, w):
+        thrown.append(float(radii.max()))  # the corner pixel carries the base radius
+        return _dart_throw(order, radii, h, w)
+
+    monkeypatch.setattr(forward, "_dart_throw", counting)
+    m = make_poisson_disc_mask(128, 128, 4, 16, 0)
+    # the bisection's first midpoint, 2.0, repeats a doubling trial
+    assert thrown == [2.0, 4.0, 3.0, 2.5]
+    assert mask_digest(m) == "9df2c4fb48e9ad663a82005517da68fee530b0f3deab3281b6c1eac51774f423"
 
 
 def test_poisson_infeasible_accel():
