@@ -4,7 +4,6 @@ Verbs:
     simulate      write ground truth, coil maps, mask and noisy k-space
     recon         reconstruct with one method, write image + trace + metrics
     sweep-lambda  grid of fixed-lambda reconstructions over (sigma, lambda)
-    trace         per-step SURE vs true-MSE trace with the stop marker
     compare       run all five methods, write a comparison table
 
 Every command is a pure function of (config, input files): reruns with the
@@ -16,6 +15,7 @@ names the method and step).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -69,7 +69,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if getattr(args, name) is not None
     }
     cfg = cfg.replace(**overrides)
-    if args.steps is not None:
+    # levels < 1 is left for validate() to report
+    if args.steps is not None and cfg.levels >= 1:
         if args.steps % cfg.levels:
             raise ConfigError(
                 f"--steps {args.steps} is not a multiple of levels={cfg.levels}"
@@ -85,6 +86,8 @@ def _parse_grid(raw: str, name: str) -> list[float]:
         raise ConfigError(f"bad {name} grid {raw!r}") from exc
     if not values:
         raise ConfigError(f"{name} grid is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{name} grid {raw!r} holds a non-finite value")
     return values
 
 
@@ -118,8 +121,7 @@ def _run_method(
     prior = build_prior(cfg, truth)
     scfg = build_sampler_config(cfg, method)
     ttt, es, sure_cfg = build_controller_configs(cfg, lambda0=lambda0)
-    rng = np.random.default_rng(scfg.seed)
-    report = run_reconstruction(y, fm, prior, scfg, ttt, es, sure_cfg, rng, truth=truth)
+    report = run_reconstruction(y, fm, prior, scfg, ttt, es, sure_cfg, truth=truth)
     return report, metrics.psnr(truth, report.final), metrics.ssim(truth, report.final)
 
 
@@ -202,24 +204,6 @@ def cmd_sweep_lambda(cfg: ExperimentConfig, lambdas: list[float], sigmas: list[f
     return EXIT_OK
 
 
-def cmd_trace(cfg: ExperimentConfig) -> int:
-    if cfg.method not in ("smrd", "csgm_es"):
-        raise ConfigError(f"trace needs a SURE-producing method, got {cfg.method!r}")
-    out = Path(cfg.out)
-    truth, fm, y = _load_sim(cfg)
-    report, psnr_v, _ = _run_method(cfg, cfg.method, truth, fm, y)
-    lines = ["t,sure,mse,psnr"]
-    for row in report.trace:
-        lines.append(f"{row.t},{row.sure!r},{row.mse!r},{row.psnr!r}")
-    atomic_write(out / "trace.csv", "\n".join(lines) + "\n")
-    atomic_write(
-        out / "trace_meta.txt",
-        format_keyvals([("t_es", report.stop_step), ("steps", len(report.trace))]),
-    )
-    print(f"trace: t_es={report.stop_step} steps={len(report.trace)} psnr={psnr_v:.2f}")
-    return EXIT_OK
-
-
 def cmd_compare(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     truth, fm, y = _load_sim(cfg)
@@ -239,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Risk-tuned Langevin reconstruction experiments on synthetic phantoms",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "recon", "trace", "compare"):
+    for name in ("simulate", "recon", "compare"):
         _add_config_flags(sub.add_parser(name))
     sweep = sub.add_parser("sweep-lambda")
     _add_config_flags(sweep)
@@ -260,8 +244,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep_lambda(
                 cfg, _parse_grid(args.lambdas, "lambda"), _parse_grid(args.sigmas, "sigma")
             )
-        if args.command == "trace":
-            return cmd_trace(cfg)
         return cmd_compare(cfg)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -83,11 +84,11 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "out"
 
-    @property
-    def steps(self) -> int:
-        return self.levels * self.steps_per_level
-
     def validate(self) -> "ExperimentConfig":
+        for name, kind in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         for name, allowed in (
             ("phantom", PHANTOM_KINDS),
             ("phase", PHASE_KINDS),

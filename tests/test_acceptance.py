@@ -122,8 +122,11 @@ def test_criterion_2_cg_oracle():
         ).reshape(h, w)
         got = cg_solve(fm, lam, x_zf, x_plus, 64)
         worst_rel = max(worst_rel, np.linalg.norm(got - dense) / np.linalg.norm(dense))
-        resid = []
-        cg_solve(fm, lam, x_zf, x_plus, 5, residuals=resid)
+        # true residual of the k-th CG iterate, k = 0..5
+        resid = [
+            np.linalg.norm(x_zf + lam * x_plus - apply_adjoint(fm, apply_forward(fm, z)) - lam * z)
+            for z in (cg_solve(fm, lam, x_zf, x_plus, k) for k in range(6))
+        ]
         for a, b in zip(resid, resid[1:]):
             if b > a * (1 + 1e-10) + 1e-12 * resid[0]:
                 monotone = False

@@ -1,12 +1,15 @@
+import argparse
 import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smrd import cli
 from smrd.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _resolve_config, build_parser, main
-from smrd.config import ExperimentConfig, build_forward_model, build_phantom
+from smrd.config import FIELD_TYPES, ExperimentConfig, build_forward_model, build_phantom
 from smrd.forward import apply_adjoint, apply_forward
 from smrd.metrics import psnr
 from smrd.tensorfile import load_tensor, save_tensor
@@ -132,15 +135,16 @@ def test_sweep_rejects_empty_grid(tmp_path):
     assert run_cli("sweep-lambda", *FAST, "--lambdas", "", "--out", tmp_path) == EXIT_CONFIG
 
 
-def test_trace_columns_marker_and_oracle(tmp_path):
+@pytest.mark.parametrize("method", ["smrd", "csgm_es"])
+def test_recon_trace_stop_marker_matches_oracle(tmp_path, method):
     out = tmp_path / "sim"
     run_cli("simulate", *FAST, "--sigma", "0.02", "--out", out)
-    assert run_cli("trace", *FAST, "--sigma", "0.02", "--out", out) == EXIT_OK
-    lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "t,sure,mse,psnr"
-    meta = read_keyvals(out / "trace_meta.txt")
-    steps = int(meta["steps"])
-    assert len(lines) == 1 + steps
+    assert run_cli("recon", *FAST, "--sigma", "0.02", "--method", method,
+                   "--out", out) == EXIT_OK
+    lines = (out / f"trace_{method}.csv").read_text().splitlines()
+    assert lines[0] == "t,sure,lambda,mse,psnr"
+    t_es = int(read_keyvals(out / f"metrics_{method}.txt")["t_es"])
+    assert len(lines) == 1 + t_es
 
     # re-scan the CSV with the rolling-mean rule to confirm the marker
     sures = [float(line.split(",")[1]) for line in lines[1:]]
@@ -152,17 +156,7 @@ def test_trace_columns_marker_and_oracle(tmp_path):
             fired = i + 1
             break
     want = fired if fired is not None else 30
-    assert int(meta["t_es"]) == want
-
-
-def test_trace_requires_simulation(tmp_path):
-    assert run_cli("trace", *FAST, "--out", tmp_path / "none") == EXIT_IO
-
-
-def test_trace_rejects_non_sure_method(tmp_path):
-    out = tmp_path / "sim"
-    run_cli("simulate", *FAST, "--out", out)
-    assert run_cli("trace", *FAST, "--method", "am_fixed", "--out", out) == EXIT_CONFIG
+    assert t_es == want
 
 
 def test_compare_runs_all_methods_byte_identically(tmp_path):
@@ -198,6 +192,29 @@ def test_bad_method_is_config_error(tmp_path):
 
 def test_indivisible_steps_is_config_error(tmp_path):
     assert run_cli("simulate", *FAST, "--steps", "31", "--out", tmp_path) == EXIT_CONFIG
+
+
+def test_steps_with_zero_levels_is_config_error(tmp_path, capsys):
+    code = run_cli("simulate", "--levels", 0, "--steps", 30, "--out", tmp_path)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: levels and steps_per_level must be positive\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", [n for n, kind in FIELD_TYPES.items() if kind is float])
+def test_nonfinite_float_is_config_error(tmp_path, capsys, name, value):
+    flag = f"--{name.replace('_', '-')}"
+    assert run_cli("simulate", *FAST, flag, value, "--out", tmp_path) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {name} must be finite, got {float(value)!r}\n"
+    assert not (tmp_path / "kspace.smrd").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--lambdas", "nan"), ("--sigmas", "inf")])
+def test_nonfinite_sweep_grid_is_config_error(tmp_path, flag, value):
+    assert run_cli("sweep-lambda", *FAST, flag, value, "--out", tmp_path) == EXIT_CONFIG
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_unwritable_output_is_io_error(tmp_path):
@@ -299,3 +316,14 @@ def test_every_config_field_has_a_typed_flag(field):
                                   "--prior-mean", "--method"])
 def test_bad_kind_value_is_config_error(tmp_path, flag):
     assert run_cli("simulate", *FAST, flag, "nope", "--out", tmp_path) == EXIT_CONFIG
+
+
+# the docs name exactly the verbs the parser offers -------------------------
+
+def test_docs_name_the_parsers_verbs():
+    docstring = cli.__doc__.split("Verbs:\n", 1)[1].split("\n\n", 1)[0]
+    documented = {line.split()[0] for line in docstring.splitlines()}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = set(re.findall(r"^smrd ([a-z-]+)", readme, flags=re.MULTILINE))
+    assert documented == set(sub.choices) == examples

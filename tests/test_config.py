@@ -56,11 +56,6 @@ def test_derive_seed_stable_and_label_sensitive():
     assert derive_seed(3, "mask") != derive_seed(4, "mask")
 
 
-def test_steps_property():
-    cfg = ExperimentConfig(levels=10, steps_per_level=7)
-    assert cfg.steps == 70
-
-
 def test_every_field_survives_text_round_trip():
     cfg = ExperimentConfig()
     back = parse_config_text(cfg.to_text())
