@@ -18,9 +18,9 @@ from typing import Iterable
 import numpy as np
 
 from .forward import ForwardModel, NoiseSpec, SamplingMask, make_equispaced_mask, make_poisson_disc_mask
-from .phantom import PHANTOM_KINDS, PHASE_KINDS, PhantomSpec, make_phantom, make_synth_coils
-from .priors import PRIOR_KINDS, NoiseSchedule, ScorePrior, gaussian_blur
-from .sampler import METHODS, SamplerConfig
+from .phantom import PhantomSpec, make_phantom, make_synth_coils
+from .priors import NoiseSchedule, ScorePrior, gaussian_blur
+from .sampler import SamplerConfig
 from .sure import EarlyStopConfig, SureConfig, TttConfig
 from .tensorfile import atomic_write
 
@@ -85,33 +85,35 @@ class ExperimentConfig:
     out: str = "out"
 
     def validate(self) -> "ExperimentConfig":
+        """The one gate, run before any file is read or written. Its own
+        rules: finite floats, a known `mask` and `prior_mean`, coils >= 1,
+        accel >= 1, acs_fraction >= 0 or -1 (auto), window >= 0 (0 = auto).
+        Every other rule is a component's own and runs by building that
+        component's spec; its ValueError is re-raised as ConfigError."""
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
             if kind is float and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        for name, allowed in (
-            ("phantom", PHANTOM_KINDS),
-            ("phase", PHASE_KINDS),
-            ("mask", MASK_KINDS),
-            ("prior", PRIOR_KINDS),
-            ("prior_mean", PRIOR_MEANS),
-            ("method", METHODS),
-        ):
+        for name, allowed in (("mask", MASK_KINDS), ("prior_mean", PRIOR_MEANS)):
             value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"unknown {name} {value!r}, expected one of {allowed}")
-        if self.size < 16:
-            raise ConfigError(f"size must be >= 16, got {self.size}")
         if self.coils < 1:
             raise ConfigError("coils must be >= 1")
         if self.accel < 1:
             raise ConfigError("accel must be >= 1")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be >= 0")
-        if self.levels < 1 or self.steps_per_level < 1:
-            raise ConfigError("levels and steps_per_level must be positive")
+        if self.acs_fraction < 0 and self.acs_fraction != -1:
+            raise ConfigError(f"acs_fraction must be >= 0 or -1 (auto), got {self.acs_fraction!r}")
         if self.window < 0:
             raise ConfigError("window must be >= 0 (0 = auto)")
+        try:
+            _phantom_spec(self)
+            build_noise_spec(self)
+            _score_prior(self)
+            build_sampler_config(self)
+            build_controller_configs(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return self
 
     def resolved_acs_fraction(self) -> float:
@@ -167,9 +169,12 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
 
 # pipeline assembly -----------------------------------------------------------
 
+def _phantom_spec(cfg: ExperimentConfig) -> PhantomSpec:
+    return PhantomSpec(kind=cfg.phantom, size=cfg.size, phase=cfg.phase)
+
+
 def build_phantom(cfg: ExperimentConfig) -> np.ndarray:
-    spec = PhantomSpec(kind=cfg.phantom, size=cfg.size, phase=cfg.phase)
-    return make_phantom(spec, seed=derive_seed(cfg.seed, "phantom"))
+    return make_phantom(_phantom_spec(cfg), seed=derive_seed(cfg.seed, "phantom"))
 
 
 def build_mask(cfg: ExperimentConfig) -> SamplingMask:
@@ -190,22 +195,23 @@ def build_noise_spec(cfg: ExperimentConfig) -> NoiseSpec:
     return NoiseSpec(sigma=cfg.sigma, seed=derive_seed(cfg.seed, "noise"))
 
 
-def build_prior(cfg: ExperimentConfig, truth: np.ndarray | None) -> ScorePrior:
+def _score_prior(cfg: ExperimentConfig, mean: np.ndarray | None = None) -> ScorePrior:
     schedule = NoiseSchedule(
-        levels=cfg.levels,
-        beta_max=cfg.beta_max,
-        beta_min=cfg.beta_min,
-        steps_per_level=cfg.steps_per_level,
-        eps0=cfg.eps0,
+        levels=cfg.levels, beta_max=cfg.beta_max, beta_min=cfg.beta_min,
+        steps_per_level=cfg.steps_per_level, eps0=cfg.eps0,
     )
+    return ScorePrior(
+        kind=cfg.prior, schedule=schedule, mean=mean, tau2=cfg.tau2, gamma=cfg.gamma
+    )
+
+
+def build_prior(cfg: ExperimentConfig, truth: np.ndarray | None) -> ScorePrior:
     mean = None
     if cfg.prior == "gaussian" and cfg.prior_mean != "zero":
         if truth is None:
             raise ConfigError(f"prior_mean={cfg.prior_mean!r} needs the ground-truth image")
         mean = truth if cfg.prior_mean == "truth" else gaussian_blur(truth, cfg.mean_blur)
-    return ScorePrior(
-        kind=cfg.prior, schedule=schedule, mean=mean, tau2=cfg.tau2, gamma=cfg.gamma
-    )
+    return _score_prior(cfg, mean)
 
 
 def build_sampler_config(cfg: ExperimentConfig, method: str | None = None) -> SamplerConfig:
@@ -219,13 +225,9 @@ def build_sampler_config(cfg: ExperimentConfig, method: str | None = None) -> Sa
 
 
 def build_controller_configs(
-    cfg: ExperimentConfig, lambda0: float | None = None
+    cfg: ExperimentConfig,
 ) -> tuple[TttConfig, EarlyStopConfig, SureConfig]:
-    ttt = TttConfig(
-        lambda0=cfg.lambda0 if lambda0 is None else lambda0,
-        alpha=cfg.alpha,
-        freeze_fraction=cfg.freeze_fraction,
-    )
+    ttt = TttConfig(lambda0=cfg.lambda0, alpha=cfg.alpha, freeze_fraction=cfg.freeze_fraction)
     es = EarlyStopConfig(window=cfg.window if cfg.window > 0 else None)
     sure_cfg = SureConfig(eps_rel=cfg.eps_rel, probes=cfg.probes)
     return ttt, es, sure_cfg

@@ -67,10 +67,13 @@ class NoiseSchedule:
 
 @functools.lru_cache(maxsize=128)
 def _geometric_betas(levels: int, beta_max: float, beta_min: float) -> np.ndarray:
+    # read-only: every equal schedule shares this cached array
     if levels == 1:
-        return np.array([beta_min])
-    ell = np.arange(levels)
-    return beta_max * (beta_min / beta_max) ** (ell / (levels - 1))
+        betas = np.array([beta_min])
+    else:
+        betas = beta_max * (beta_min / beta_max) ** (np.arange(levels) / (levels - 1))
+    betas.flags.writeable = False
+    return betas
 
 
 def eta(schedule: NoiseSchedule, t: int) -> float:

@@ -178,13 +178,12 @@ def run_reconstruction(
     ttt: TttConfig | None = None,
     es: EarlyStopConfig | None = None,
     sure_cfg: SureConfig | None = None,
-    rng: np.random.Generator | None = None,
     truth: np.ndarray | None = None,
 ) -> ReconReport:
     """Run the configured method end to end and return the report.
 
     The trace holds one row per executed step; rows carry true MSE/PSNR
-    only when `truth` is given. Fully deterministic for a given rng state.
+    only when `truth` is given. Fully deterministic for a given `sampler_cfg.seed`.
     Raises NumericalError, naming the method and step, at the first
     non-finite image energy, SURE value or lambda gradient.
     """
@@ -192,7 +191,7 @@ def run_reconstruction(
     ttt = ttt or TttConfig()
     es = es or EarlyStopConfig()
     sure_cfg = sure_cfg or SureConfig()
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
 
     x_zf = apply_adjoint(fm, y)
     # images are checked by energy, which also overflows on finite but huge entries

@@ -82,10 +82,12 @@ class EarlyStopConfig:
 
     window: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.window is not None and self.window < 1:
+            raise ValueError("window must be positive")
+
     def resolve_window(self, total_steps: int) -> int:
         if self.window is not None:
-            if self.window < 1:
-                raise ValueError("window must be positive")
             return self.window
         return int(math.ceil(0.14 * total_steps - 1e-9))
 

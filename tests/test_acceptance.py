@@ -48,13 +48,12 @@ def simulate(cfg: ExperimentConfig):
     return truth, fm, y
 
 
-def reconstruct(cfg: ExperimentConfig, method: str, lambda0=None):
+def reconstruct(cfg: ExperimentConfig, method: str):
     truth, fm, y = simulate(cfg)
     prior = build_prior(cfg, truth)
     scfg = build_sampler_config(cfg, method)
-    ttt, es, sure_cfg = build_controller_configs(cfg, lambda0=lambda0)
-    rep = run_reconstruction(y, fm, prior, scfg, ttt, es, sure_cfg,
-                             np.random.default_rng(scfg.seed), truth=truth)
+    ttt, es, sure_cfg = build_controller_configs(cfg)
+    rep = run_reconstruction(y, fm, prior, scfg, ttt, es, sure_cfg, truth=truth)
     return truth, rep
 
 
@@ -70,7 +69,7 @@ def reuse_or_reconstruct(runs, accel, sigma, seed, method, lambda0):
     key = (accel, sigma, seed, method, lambda0)
     if key not in runs:
         cfg = ExperimentConfig(accel=accel, sigma=sigma, seed=seed)
-        runs[key] = reconstruct(cfg, method, lambda0=lambda0)
+        runs[key] = reconstruct(cfg.replace(lambda0=lambda0), method)
     return runs[key]
 
 

@@ -294,17 +294,19 @@ def test_recon_nonfinite_input_is_io_error(tmp_path, capsys, name, method):
 
 # CLI flags are derived from the config fields ----------------------------
 
-# a valid non-default value for each text field; numeric fields use default + 1
-TEXT_VALUES = {
+# a valid non-default value for each text field and for the numeric fields
+# whose default + 1 is out of range; other numeric fields use default + 1
+NON_DEFAULT = {
     "phantom": "blob_grid", "phase": "smooth", "mask": "poisson", "prior": "smoothness",
     "prior_mean": "zero", "method": "am_fixed", "out": "elsewhere",
+    "beta_min": 0.01, "freeze_fraction": 0.5,
 }
 
 
 @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
 def test_every_config_field_has_a_typed_flag(field):
     default = getattr(ExperimentConfig(), field.name)
-    value = TEXT_VALUES[field.name] if isinstance(default, str) else default + 1
+    value = NON_DEFAULT[field.name] if field.name in NON_DEFAULT else default + 1
     flag = f"--{field.name.replace('_', '-')}"
     cfg = _resolve_config(build_parser().parse_args(["recon", flag, str(value)]))
     got = getattr(cfg, field.name)
@@ -316,6 +318,58 @@ def test_every_config_field_has_a_typed_flag(field):
                                   "--prior-mean", "--method"])
 def test_bad_kind_value_is_config_error(tmp_path, flag):
     assert run_cli("simulate", *FAST, flag, "nope", "--out", tmp_path) == EXIT_CONFIG
+
+
+# the config gate ------------------------------------------------------------
+
+# one rejected value per field; every other field is listed as unconstrained,
+# so a new field cannot skip the gate
+REJECTED = {
+    "phantom": "nope", "size": 8, "phase": "nope", "coils": 0, "mask": "radial",
+    "accel": 0.5, "acs_fraction": -0.5, "sigma": -0.5, "prior": "nope",
+    "prior_mean": "nope", "tau2": -1.0, "gamma": -1.0, "levels": 0,
+    "steps_per_level": 0, "beta_min": 2.0, "beta_max": 0.001, "eps0": 0.0,
+    "method": "nope", "cg_iters": 0, "lambda0": 0.0, "alpha": 0.0,
+    "freeze_fraction": 2.0, "window": -1, "probes": 0, "eps_rel": -1.0,
+}
+UNCONSTRAINED = {"calib", "mean_blur", "dc_weight", "seed", "out"}
+# settings a rule applies under
+CONTEXT = {"gamma": ["--prior", "smoothness"]}
+
+
+def rejected_flags(name):
+    return [*CONTEXT.get(name, []), f"--{name.replace('_', '-')}", REJECTED[name]]
+
+
+def test_gate_table_covers_every_field():
+    assert set(REJECTED) | UNCONSTRAINED == set(FIELD_TYPES)
+    assert not set(REJECTED) & UNCONSTRAINED
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_value_exits_before_any_output(tmp_path, capsys, name):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", *FAST, *rejected_flags(name), "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_value_exits_before_any_read(tmp_path, name):
+    # a missing input would be an I/O error (3); the gate runs first
+    code = run_cli("recon", *FAST, *rejected_flags(name), "--out", tmp_path / "empty")
+    assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flag, grid", [("--lambdas", "1,0"), ("--sigmas", "0,-0.5")])
+def test_sweep_checks_every_cell_before_any_run(tmp_path, monkeypatch, flag, grid):
+    calls = []
+    monkeypatch.setattr(cli, "run_reconstruction", lambda *a, **k: calls.append(a))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep-lambda", *FAST, flag, grid, "--out", out) == EXIT_CONFIG
+    assert calls == []
+    assert not out.exists()
 
 
 # the docs name exactly the verbs the parser offers -------------------------

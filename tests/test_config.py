@@ -50,6 +50,12 @@ def test_acs_fraction_auto_resolution():
     assert ExperimentConfig(accel=8.0, acs_fraction=0.1).resolved_acs_fraction() == 0.1
 
 
+def test_only_minus_one_means_auto_acs_fraction():
+    assert parse_config_text("acs_fraction = -1\n").resolved_acs_fraction() == 0.08
+    with pytest.raises(ConfigError, match="acs_fraction"):
+        parse_config_text("acs_fraction = -0.5\n")
+
+
 def test_derive_seed_stable_and_label_sensitive():
     assert derive_seed(3, "mask") == derive_seed(3, "mask")
     assert derive_seed(3, "mask") != derive_seed(3, "noise")

@@ -25,6 +25,14 @@ def test_eta_closed_form_two_levels():
     assert eta(s, 0) == pytest.approx(0.1, rel=1e-12)  # 1e-3 * (1 / 0.01)
 
 
+def test_cached_betas_are_read_only():
+    # equal schedules share one cached array; a write must not leak into them
+    with pytest.raises(ValueError):
+        NoiseSchedule().betas()[0] = 99.0
+    assert eta(NoiseSchedule(), 0) == pytest.approx(0.2, rel=1e-12)
+    assert NoiseSchedule().betas()[0] == 1.0
+
+
 def test_eta_out_of_range():
     s = NoiseSchedule(levels=2, steps_per_level=2)
     with pytest.raises(ValueError):

@@ -240,9 +240,8 @@ def test_large_window_never_stops():
     total = prior.total_steps
     rep = run_reconstruction(
         y, fm, prior,
-        SamplerConfig(method="smrd"),
+        SamplerConfig(method="smrd", seed=0),
         es=EarlyStopConfig(window=total),  # 2w > T: guard never satisfied
-        rng=np.random.default_rng(0),
         truth=truth,
     )
     assert rep.stop_step == total
@@ -252,8 +251,7 @@ def test_large_window_never_stops():
 def test_reconstruction_bit_reproducible():
     truth, fm, y, prior = small_setup(sigma=0.01)
     reps = [
-        run_reconstruction(y, fm, prior, SamplerConfig(method="smrd"),
-                           rng=np.random.default_rng(11), truth=truth)
+        run_reconstruction(y, fm, prior, SamplerConfig(method="smrd", seed=11), truth=truth)
         for _ in range(2)
     ]
     assert np.array_equal(reps[0].final, reps[1].final)
@@ -278,8 +276,7 @@ def test_smrd_beats_zero_filled_on_phantom():
     prior = build_prior(cfg, truth)
     scfg = build_sampler_config(cfg, "smrd")
     ttt, es, sure_cfg = build_controller_configs(cfg)
-    rep = run_reconstruction(y, fm, prior, scfg, ttt, es, sure_cfg,
-                             np.random.default_rng(scfg.seed), truth=truth)
+    rep = run_reconstruction(y, fm, prior, scfg, ttt, es, sure_cfg, truth=truth)
     zf_psnr = psnr(truth, apply_adjoint(fm, y))
     assert psnr(truth, rep.final) >= zf_psnr + 3.0
 
@@ -287,8 +284,8 @@ def test_smrd_beats_zero_filled_on_phantom():
 def test_lambda_frozen_in_trace():
     truth, fm, y, prior = small_setup(sigma=0.01)
     ttt = TttConfig()
-    rep = run_reconstruction(y, fm, prior, SamplerConfig(method="smrd"), ttt=ttt,
-                             rng=np.random.default_rng(12), truth=truth)
+    rep = run_reconstruction(y, fm, prior, SamplerConfig(method="smrd", seed=12), ttt=ttt,
+                             truth=truth)
     freeze = ttt.freeze_step(prior.total_steps)
     lams = [r.lam for r in rep.trace]
     frozen = lams[freeze:]
@@ -298,8 +295,8 @@ def test_lambda_frozen_in_trace():
 
 def test_trace_rows_well_formed():
     truth, fm, y, prior = small_setup(sigma=0.02)
-    rep = run_reconstruction(y, fm, prior, SamplerConfig(method="csgm_es"),
-                             rng=np.random.default_rng(13), truth=truth)
+    rep = run_reconstruction(y, fm, prior, SamplerConfig(method="csgm_es", seed=13),
+                             truth=truth)
     assert len(rep.trace) == rep.stop_step
     assert [r.t for r in rep.trace] == list(range(rep.stop_step))
     for row in rep.trace:
