@@ -117,11 +117,12 @@ def _run_method(
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # the mask's own rules run here, before anything is written
     truth = build_phantom(cfg)
     fm = build_forward_model(cfg)
     y = add_kspace_noise(apply_forward(fm, truth), fm.mask, build_noise_spec(cfg))
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_tensor(out / "truth.smrd", truth)
     save_tensor(out / "coils.smrd", fm.sens)
     save_tensor(out / "mask.smrd", fm.mask.keep.astype(np.uint8))
@@ -172,11 +173,11 @@ def cmd_recon(cfg: ExperimentConfig) -> int:
 def cmd_sweep_lambda(cfg: ExperimentConfig, lambdas: list[float], sigmas: list[float]) -> int:
     # each grid cell is a config of its own; all pass the gate before any run
     grid = [[cfg.replace(sigma=s, lambda0=lam).validate() for lam in lambdas] for s in sigmas]
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     truth = build_phantom(cfg)
     fm = build_forward_model(cfg)
     y_clean = apply_forward(fm, truth)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     rows = ["sigma,lambda,psnr,ssim"]
     best_lines = ["sigma,best_lambda,best_psnr"]

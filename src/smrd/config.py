@@ -22,10 +22,10 @@ from .phantom import PhantomSpec, make_phantom, make_synth_coils
 from .priors import NoiseSchedule, ScorePrior, gaussian_blur
 from .sampler import SamplerConfig
 from .sure import EarlyStopConfig, SureConfig, TttConfig
-from .tensorfile import atomic_write
 
 MASK_KINDS = ("equispaced", "poisson")
 PRIOR_MEANS = ("zero", "truth", "smoothed_truth")
+SMOOTHED_MEAN_BLUR_PX = 2.0  # blur std of the smoothed_truth prior mean
 
 
 class ConfigError(ValueError):
@@ -56,15 +56,12 @@ class ExperimentConfig:
     coils: int = 4
     mask: str = "equispaced"
     accel: float = 4.0
-    acs_fraction: float = -1.0  # auto: 0.08 when accel < 6, else 0.04
     calib: int = 16
     sigma: float = 0.0
     # prior
     prior: str = "gaussian"
     prior_mean: str = "truth"
-    mean_blur: float = 2.0
     tau2: float = 1e-5
-    gamma: float = 1.0
     levels: int = 30
     steps_per_level: int = 10
     beta_min: float = 0.003
@@ -79,17 +76,16 @@ class ExperimentConfig:
     window: int = 0  # 0 = auto (0.14 * steps)
     probes: int = 1
     eps_rel: float = 1e-3
-    dc_weight: float = 1.0
     # run
     seed: int = 0
     out: str = "out"
 
     def validate(self) -> "ExperimentConfig":
         """The one gate, run before any file is read or written. Its own
-        rules: finite floats, a known `mask` and `prior_mean`, coils >= 1,
-        accel >= 1, acs_fraction >= 0 or -1 (auto), window >= 0 (0 = auto).
-        Every other rule is a component's own and runs by building that
-        component's spec; its ValueError is re-raised as ConfigError."""
+        rules: finite floats, a known `mask` and `prior_mean`, coils >= 1
+        and accel >= 1. Every other rule is a component's own and runs by
+        building that component's spec; its ValueError is re-raised as
+        ConfigError."""
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
             if kind is float and not math.isfinite(value):
@@ -102,10 +98,6 @@ class ExperimentConfig:
             raise ConfigError("coils must be >= 1")
         if self.accel < 1:
             raise ConfigError("accel must be >= 1")
-        if self.acs_fraction < 0 and self.acs_fraction != -1:
-            raise ConfigError(f"acs_fraction must be >= 0 or -1 (auto), got {self.acs_fraction!r}")
-        if self.window < 0:
-            raise ConfigError("window must be >= 0 (0 = auto)")
         try:
             _phantom_spec(self)
             build_noise_spec(self)
@@ -116,19 +108,11 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         return self
 
-    def resolved_acs_fraction(self) -> float:
-        if self.acs_fraction >= 0:
-            return self.acs_fraction
-        return 0.08 if self.accel < 6 else 0.04
-
     def replace(self, **overrides) -> "ExperimentConfig":
         return dataclasses.replace(self, **overrides)
 
     def to_text(self) -> str:
         return format_keyvals((f.name, getattr(self, f.name)) for f in dataclasses.fields(self))
-
-    def save(self, path) -> None:
-        atomic_write(path, self.to_text())
 
 
 # Value type of every field, read off its default. The config-file parser
@@ -146,6 +130,9 @@ def _convert(name: str, kind: type, raw: str):
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """Apply the `key = value` lines of `text` to `base` (default: the
+    defaults). Only parses: unknown keys and unparsable values raise
+    ConfigError, and the caller gates the finished config with validate()."""
     cfg = base or ExperimentConfig()
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -159,7 +146,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         if key not in FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         updates[key] = _convert(key, FIELD_TYPES[key], raw)
-    return cfg.replace(**updates).validate()
+    return cfg.replace(**updates)
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -180,9 +167,8 @@ def build_phantom(cfg: ExperimentConfig) -> np.ndarray:
 def build_mask(cfg: ExperimentConfig) -> SamplingMask:
     seed = derive_seed(cfg.seed, "mask")
     if cfg.mask == "equispaced":
-        return make_equispaced_mask(
-            cfg.size, cfg.size, cfg.accel, cfg.resolved_acs_fraction(), seed
-        )
+        acs_fraction = 0.08 if cfg.accel < 6 else 0.04
+        return make_equispaced_mask(cfg.size, cfg.size, cfg.accel, acs_fraction, seed)
     return make_poisson_disc_mask(cfg.size, cfg.size, cfg.accel, cfg.calib, seed)
 
 
@@ -200,9 +186,7 @@ def _score_prior(cfg: ExperimentConfig, mean: np.ndarray | None = None) -> Score
         levels=cfg.levels, beta_max=cfg.beta_max, beta_min=cfg.beta_min,
         steps_per_level=cfg.steps_per_level, eps0=cfg.eps0,
     )
-    return ScorePrior(
-        kind=cfg.prior, schedule=schedule, mean=mean, tau2=cfg.tau2, gamma=cfg.gamma
-    )
+    return ScorePrior(kind=cfg.prior, schedule=schedule, mean=mean, tau2=cfg.tau2)
 
 
 def build_prior(cfg: ExperimentConfig, truth: np.ndarray | None) -> ScorePrior:
@@ -210,7 +194,7 @@ def build_prior(cfg: ExperimentConfig, truth: np.ndarray | None) -> ScorePrior:
     if cfg.prior == "gaussian" and cfg.prior_mean != "zero":
         if truth is None:
             raise ConfigError(f"prior_mean={cfg.prior_mean!r} needs the ground-truth image")
-        mean = truth if cfg.prior_mean == "truth" else gaussian_blur(truth, cfg.mean_blur)
+        mean = truth if cfg.prior_mean == "truth" else gaussian_blur(truth, SMOOTHED_MEAN_BLUR_PX)
     return _score_prior(cfg, mean)
 
 
@@ -219,7 +203,6 @@ def build_sampler_config(cfg: ExperimentConfig, method: str | None = None) -> Sa
     return SamplerConfig(
         method=chosen,
         cg_iters=cfg.cg_iters,
-        dc_weight=cfg.dc_weight,
         seed=derive_seed(cfg.seed, f"recon:{chosen}"),
     )
 
@@ -228,6 +211,6 @@ def build_controller_configs(
     cfg: ExperimentConfig,
 ) -> tuple[TttConfig, EarlyStopConfig, SureConfig]:
     ttt = TttConfig(lambda0=cfg.lambda0, alpha=cfg.alpha, freeze_fraction=cfg.freeze_fraction)
-    es = EarlyStopConfig(window=cfg.window if cfg.window > 0 else None)
+    es = EarlyStopConfig(window=cfg.window)
     sure_cfg = SureConfig(eps_rel=cfg.eps_rel, probes=cfg.probes)
     return ttt, es, sure_cfg

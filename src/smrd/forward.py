@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import fft2c, ifft2c
+from .fourier import complex_normal, fft2c, ifft2c
 
 
 @dataclass(frozen=True)
@@ -276,9 +276,6 @@ def make_poisson_disc_mask(
     @functools.cache
     def build(base: float) -> np.ndarray:
         keep = in_calib.copy()
-        if base <= 0:
-            keep[:] = True
-            return keep
         radii = poisson_local_radii(h, w, base)
         keep.flat[_dart_throw(order, radii, h, w)] = True
         return keep
@@ -340,9 +337,6 @@ def add_kspace_noise(y: np.ndarray, mask: SamplingMask, spec: NoiseSpec) -> np.n
     out = np.empty_like(y, dtype=np.complex128)
     for c in range(y.shape[0]):
         rng = np.random.default_rng([spec.seed, c])
-        noise = spec.sigma * (
-            rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
-        )
-        out[c] = y[c] + noise * mask.keep
+        out[c] = y[c] + spec.sigma * complex_normal(rng, mask.shape) * mask.keep
     return out
 

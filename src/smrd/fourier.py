@@ -1,4 +1,5 @@
-"""Centered orthonormal 2D Fourier transforms and complex inner products.
+"""Centered orthonormal 2D Fourier transforms, complex inner products and
+complex normal draws.
 
 k-space follows the MRI convention: the zero-frequency bin sits at
 (h // 2, w // 2). Both transforms are unitary (norm preserving) and exact
@@ -34,6 +35,12 @@ def ifft2c(ksp: np.ndarray) -> np.ndarray:
     ksp = _check_2d(ksp, "ksp")
     shifted = np.fft.ifftshift(ksp, axes=_AXES)
     return np.fft.fftshift(np.fft.ifft2(shifted, axes=_AXES, norm="ortho"), axes=_AXES)
+
+
+def complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex normal draw with unit variance per real/imag component. The
+    real part is drawn before the imaginary part; seeded outputs rely on it."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> complex:

@@ -5,8 +5,6 @@ sampler stays a verifiable (affine) system:
 
 * gaussian:   score of N(mean, tau2*I) convolved with the schedule's
               N(0, beta_t^2 * I) noise, i.e. (mean - x) / (tau2 + beta_t^2).
-* smoothness: improper Gaussian prior on image gradients; the score is the
-              (negative graph-)Laplacian scaled by gamma, independent of t.
 * zero:       no prior; the sampler reduces to data consistency plus noise.
 """
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from .fourier import fft2c, ifft2c
 
-PRIOR_KINDS = ("gaussian", "smoothness", "zero")
+PRIOR_KINDS = ("gaussian", "zero")
 
 
 @dataclass(frozen=True)
@@ -91,31 +89,16 @@ class ScorePrior:
     schedule: NoiseSchedule = NoiseSchedule()
     mean: np.ndarray | None = None  # gaussian: prior mean image (None = zero)
     tau2: float = 1.0               # gaussian: prior variance
-    gamma: float = 1.0              # smoothness: strength
 
     def __post_init__(self) -> None:
         if self.kind not in PRIOR_KINDS:
             raise ValueError(f"unknown prior kind {self.kind!r}, expected one of {PRIOR_KINDS}")
         if self.kind == "gaussian" and self.tau2 <= 0:
             raise ValueError("tau2 must be positive for the gaussian prior")
-        if self.kind == "smoothness" and self.gamma < 0:
-            raise ValueError("gamma must be nonnegative for the smoothness prior")
 
     @property
     def total_steps(self) -> int:
         return self.schedule.total_steps
-
-
-def _laplacian(x: np.ndarray) -> np.ndarray:
-    # 5-point stencil with replicated edges; annihilates constant images.
-    padded = np.pad(x, 1, mode="edge")
-    return (
-        padded[:-2, 1:-1]
-        + padded[2:, 1:-1]
-        + padded[1:-1, :-2]
-        + padded[1:-1, 2:]
-        - 4.0 * x
-    )
 
 
 def score(prior: ScorePrior, x: np.ndarray, t: int) -> np.ndarray:
@@ -125,12 +108,9 @@ def score(prior: ScorePrior, x: np.ndarray, t: int) -> np.ndarray:
     prior.schedule._check_step(t)
     if prior.kind == "zero":
         return np.zeros_like(x, dtype=np.complex128)
-    if prior.kind == "gaussian":
-        beta = prior.schedule.beta(t)
-        mean = 0.0 if prior.mean is None else prior.mean
-        return (mean - x) / (prior.tau2 + beta * beta)
-    # smoothness: gradient of -gamma/2 * ||grad x||^2
-    return prior.gamma * _laplacian(x)
+    beta = prior.schedule.beta(t)
+    mean = 0.0 if prior.mean is None else prior.mean
+    return (mean - x) / (prior.tau2 + beta * beta)
 
 
 def gaussian_blur(img: np.ndarray, sigma_px: float) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import metrics
 from .forward import ForwardModel, apply_adjoint, apply_forward
-from .fourier import norm2
+from .fourier import complex_normal, norm2
 from .priors import ScorePrior, eta, score
 from .sure import (
     EarlyStopConfig,
@@ -50,7 +50,6 @@ class SamplerConfig:
 
     method: str = "smrd"
     cg_iters: int = 5
-    dc_weight: float = 1.0  # posterior-score baselines only
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -82,11 +81,6 @@ class ReconReport:
     @property
     def final_lambda(self) -> float:
         return self.trace[-1].lam if self.trace else float("nan")
-
-
-def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    # unit variance per real/imag component
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _require_finite(value: float, what: str, method: str, t: int | None = None) -> None:
@@ -159,14 +153,11 @@ def csgm_step(
     y: np.ndarray,
     t: int,
     zeta: np.ndarray,
-    dc_weight: float = 1.0,
 ) -> np.ndarray:
     """Posterior-score Langevin baseline: one gradient step on
-    score + dc_weight * A^H (y - A x), no inner solve."""
+    score + A^H (y - A x), no inner solve."""
     et = eta(prior.schedule, t)
-    grad = score(prior, x, t)
-    if dc_weight != 0.0:
-        grad = grad + dc_weight * apply_adjoint(fm, y - apply_forward(fm, x))
+    grad = score(prior, x, t) + apply_adjoint(fm, y - apply_forward(fm, x))
     return x + et * grad + math.sqrt(2.0 * et) * zeta
 
 
@@ -206,14 +197,14 @@ def run_reconstruction(
     use_sure = cfg.method in ("smrd", "csgm_es")  # SURE also drives early stopping
     am_path = cfg.method in ("smrd", "am_fixed")
 
-    x = _complex_normal(rng, fm.shape)
+    x = complex_normal(rng, fm.shape)
     state = TttState(lam=ttt.lambda0)
     trace: list[TraceRow] = []
     stop_step = total
 
     for t in range(total):
         lam_t = state.lam
-        zeta = _complex_normal(rng, x.shape)
+        zeta = complex_normal(rng, x.shape)
 
         if am_path:
             x_plus = langevin_step(x, prior, t, zeta)
@@ -227,7 +218,7 @@ def run_reconstruction(
             v_t = x_zf
         else:
             def h(v: np.ndarray, lmb: float) -> np.ndarray:
-                return csgm_step(v, prior, fm, y, t, zeta, cfg.dc_weight)
+                return csgm_step(v, prior, fm, y, t, zeta)
 
             v_t = x
         x_next = h(v_t, lam_t)

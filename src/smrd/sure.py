@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fourier import norm2
+from .fourier import complex_normal, norm2
 
 LAMBDA_MIN = 1e-4
 LAMBDA_MAX = 1e4
@@ -78,16 +78,16 @@ class TttConfig:
 
 @dataclass(frozen=True)
 class EarlyStopConfig:
-    """Moving-average early stopping; window=None scales as ceil(0.14 * T)."""
+    """Moving-average early stopping; window=0 scales as ceil(0.14 * T)."""
 
-    window: int | None = None
+    window: int = 0
 
     def __post_init__(self) -> None:
-        if self.window is not None and self.window < 1:
-            raise ValueError("window must be positive")
+        if self.window < 0:
+            raise ValueError("window must be >= 0 (0 = auto)")
 
     def resolve_window(self, total_steps: int) -> int:
-        if self.window is not None:
+        if self.window > 0:
             return self.window
         return int(math.ceil(0.14 * total_steps - 1e-9))
 
@@ -105,9 +105,7 @@ class TttState:
 
 def draw_probe(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Standard complex normal probe: real/imag each N(0, 1/2), E|mu|^2 = 1."""
-    return math.sqrt(0.5) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
+    return math.sqrt(0.5) * complex_normal(rng, shape)
 
 
 def perturbation_scale(cfg: SureConfig, x: np.ndarray) -> float:

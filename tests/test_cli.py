@@ -9,9 +9,17 @@ import pytest
 
 from smrd import cli
 from smrd.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _resolve_config, build_parser, main
-from smrd.config import FIELD_TYPES, ExperimentConfig, build_forward_model, build_phantom
+from smrd.config import (
+    FIELD_TYPES,
+    MASK_KINDS,
+    PRIOR_MEANS,
+    ExperimentConfig,
+    build_forward_model,
+    build_phantom,
+)
 from smrd.forward import apply_adjoint, apply_forward
 from smrd.metrics import psnr
+from smrd.priors import PRIOR_KINDS
 from smrd.tensorfile import load_tensor, save_tensor
 
 FAST = [
@@ -178,12 +186,23 @@ def test_compare_runs_all_methods_byte_identically(tmp_path):
 
 def test_config_file_plus_flag_overrides(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
-    ExperimentConfig(size=32, coils=2, levels=10, steps_per_level=3, accel=4.0,
-                     sigma=0.25, seed=5).save(cfg_path)
+    cfg_path.write_text(ExperimentConfig(size=32, coils=2, levels=10, steps_per_level=3,
+                                         accel=4.0, sigma=0.25, seed=5).to_text())
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", cfg_path, "--sigma", "0.0",
                    "--out", out) == EXIT_OK
     assert read_keyvals(out / "manifest.txt")["noise_std"] == "0.0"
+
+
+def test_flags_can_mend_a_config_file(tmp_path):
+    # the gate runs once, on the file merged with the flags
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("alpha = 0\n")
+    out = tmp_path / "sim"
+    assert run_cli("simulate", *FAST, "--config", cfg_path, "--out", out) == EXIT_CONFIG
+    assert not out.exists()
+    assert run_cli("simulate", *FAST, "--config", cfg_path, "--alpha", "1",
+                   "--out", out) == EXIT_OK
 
 
 def test_bad_method_is_config_error(tmp_path):
@@ -230,6 +249,14 @@ def test_unrealizable_accel_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: realized acceleration 5.333 outside 10% of requested 6.0")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["simulate", "sweep-lambda"])
+def test_unrealizable_accel_leaves_no_output(tmp_path, verb):
+    out = tmp_path / "out"
+    code = run_cli(verb, "--size", 16, "--accel", 6, "--coils", 2, "--out", out)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_divergent_run_is_numerical_error(tmp_path):
@@ -297,7 +324,7 @@ def test_recon_nonfinite_input_is_io_error(tmp_path, capsys, name, method):
 # a valid non-default value for each text field and for the numeric fields
 # whose default + 1 is out of range; other numeric fields use default + 1
 NON_DEFAULT = {
-    "phantom": "blob_grid", "phase": "smooth", "mask": "poisson", "prior": "smoothness",
+    "phantom": "blob_grid", "phase": "smooth", "mask": "poisson", "prior": "zero",
     "prior_mean": "zero", "method": "am_fixed", "out": "elsewhere",
     "beta_min": 0.01, "freeze_fraction": 0.5,
 }
@@ -320,25 +347,31 @@ def test_bad_kind_value_is_config_error(tmp_path, flag):
     assert run_cli("simulate", *FAST, flag, "nope", "--out", tmp_path) == EXIT_CONFIG
 
 
+def test_removed_settings_are_rejected(tmp_path):
+    assert run_cli("simulate", *FAST, "--prior", "smoothness", "--out", tmp_path) == EXIT_CONFIG
+    for flag in ("--dc-weight", "--gamma", "--mean-blur", "--acs-fraction"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["simulate", flag, "1"])
+        assert exc.value.code == EXIT_CONFIG
+
+
 # the config gate ------------------------------------------------------------
 
 # one rejected value per field; every other field is listed as unconstrained,
 # so a new field cannot skip the gate
 REJECTED = {
     "phantom": "nope", "size": 8, "phase": "nope", "coils": 0, "mask": "radial",
-    "accel": 0.5, "acs_fraction": -0.5, "sigma": -0.5, "prior": "nope",
-    "prior_mean": "nope", "tau2": -1.0, "gamma": -1.0, "levels": 0,
+    "accel": 0.5, "sigma": -0.5, "prior": "nope",
+    "prior_mean": "nope", "tau2": -1.0, "levels": 0,
     "steps_per_level": 0, "beta_min": 2.0, "beta_max": 0.001, "eps0": 0.0,
     "method": "nope", "cg_iters": 0, "lambda0": 0.0, "alpha": 0.0,
     "freeze_fraction": 2.0, "window": -1, "probes": 0, "eps_rel": -1.0,
 }
-UNCONSTRAINED = {"calib", "mean_blur", "dc_weight", "seed", "out"}
-# settings a rule applies under
-CONTEXT = {"gamma": ["--prior", "smoothness"]}
+UNCONSTRAINED = {"calib", "seed", "out"}
 
 
 def rejected_flags(name):
-    return [*CONTEXT.get(name, []), f"--{name.replace('_', '-')}", REJECTED[name]]
+    return [f"--{name.replace('_', '-')}", REJECTED[name]]
 
 
 def test_gate_table_covers_every_field():
@@ -372,7 +405,7 @@ def test_sweep_checks_every_cell_before_any_run(tmp_path, monkeypatch, flag, gri
     assert not out.exists()
 
 
-# the docs name exactly the verbs the parser offers -------------------------
+# the docs name exactly the verbs, flags and kinds the parser offers --------
 
 def test_docs_name_the_parsers_verbs():
     docstring = cli.__doc__.split("Verbs:\n", 1)[1].split("\n\n", 1)[0]
@@ -381,3 +414,13 @@ def test_docs_name_the_parsers_verbs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     examples = set(re.findall(r"^smrd ([a-z-]+)", readme, flags=re.MULTILINE))
     assert documented == set(sub.choices) == examples
+
+    options = {
+        opt for verb in sub.choices.values() for a in verb._actions for opt in a.option_strings
+    }
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", readme)) <= options
+
+    kinds = dict(re.findall(r"`(--[a-z-]+) ([a-z_]+(?:\|[a-z_]+)+)`", readme))
+    for flag, allowed in (("--mask", MASK_KINDS), ("--prior", PRIOR_KINDS),
+                          ("--prior-mean", PRIOR_MEANS)):
+        assert set(kinds[flag].split("|")) == set(allowed)

@@ -1,21 +1,24 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from smrd.config import (
     ConfigError,
     ExperimentConfig,
+    build_mask,
     derive_seed,
     load_config,
     parse_config_text,
 )
+from smrd.forward import make_equispaced_mask
 
 
 def test_round_trip_through_flat_format(tmp_path):
     cfg = ExperimentConfig(accel=8.0, sigma=0.0125, method="am_fixed", seed=17,
                            prior_mean="smoothed_truth", out="results/run1")
     path = tmp_path / "exp.cfg"
-    cfg.save(path)
+    path.write_text(cfg.to_text())
     back = load_config(path)
     assert back == cfg
 
@@ -37,23 +40,19 @@ def test_comments_and_blank_lines_ok():
 
 def test_validation_catches_bad_enums():
     with pytest.raises(ConfigError):
-        parse_config_text("mask = radial\n")
+        parse_config_text("mask = radial\n").validate()
     with pytest.raises(ConfigError):
-        parse_config_text("method = magic\n")
+        parse_config_text("method = magic\n").validate()
     with pytest.raises(ConfigError):
-        parse_config_text("size = 8\n")
+        parse_config_text("size = 8\n").validate()
 
 
 def test_acs_fraction_auto_resolution():
-    assert ExperimentConfig(accel=4.0).resolved_acs_fraction() == 0.08
-    assert ExperimentConfig(accel=8.0).resolved_acs_fraction() == 0.04
-    assert ExperimentConfig(accel=8.0, acs_fraction=0.1).resolved_acs_fraction() == 0.1
-
-
-def test_only_minus_one_means_auto_acs_fraction():
-    assert parse_config_text("acs_fraction = -1\n").resolved_acs_fraction() == 0.08
-    with pytest.raises(ConfigError, match="acs_fraction"):
-        parse_config_text("acs_fraction = -0.5\n")
+    # 8% of the columns below R=6, 4% from R=6 on
+    for accel, acs_fraction in ((4.0, 0.08), (8.0, 0.04)):
+        cfg = ExperimentConfig(accel=accel, seed=3)
+        want = make_equispaced_mask(64, 64, accel, acs_fraction, derive_seed(3, "mask"))
+        assert np.array_equal(build_mask(cfg).keep, want.keep)
 
 
 def test_derive_seed_stable_and_label_sensitive():

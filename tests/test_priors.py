@@ -69,12 +69,6 @@ def test_zero_prior():
     assert not score(prior, x, 5).any()
 
 
-def test_smoothness_annihilates_constants():
-    prior = ScorePrior(kind="smoothness", gamma=2.5)
-    x = np.full((10, 10), 1.7 - 0.4j)
-    assert np.max(np.abs(score(prior, x, 0))) == 0
-
-
 def test_gaussian_score_affine_in_x():
     rng = np.random.default_rng(1)
     mean = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -111,7 +105,7 @@ def test_prior_validation():
     with pytest.raises(ValueError):
         ScorePrior(kind="gaussian", tau2=0.0)
     with pytest.raises(ValueError):
-        ScorePrior(kind="smoothness", gamma=-1.0)
+        ScorePrior(kind="smoothness")
 
 
 def test_gaussian_blur_preserves_dc_and_smooths():

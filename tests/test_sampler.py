@@ -169,18 +169,6 @@ def test_normal_equation_residual_small_when_converged():
 
 # csgm -------------------------------------------------------------------
 
-def test_csgm_zero_dc_weight_matches_langevin():
-    fm = unit_model(8, 8, accel=2.0, seed=10)
-    prior = ScorePrior(kind="gaussian", mean=None, tau2=1.0)
-    rng = np.random.default_rng(9)
-    x = random_complex(rng, (8, 8))
-    y = random_complex(rng, (1, 8, 8)) * fm.mask.keep
-    zeta = random_complex(np.random.default_rng(3), x.shape)
-    a = csgm_step(x, prior, fm, y, 2, zeta, dc_weight=0.0)
-    b = langevin_step(x, prior, 2, zeta)
-    assert np.array_equal(a, b)
-
-
 def test_csgm_data_term_vanishes_on_consistent_iterate():
     h = w = 16
     mask = SamplingMask(keep=np.ones((h, w), dtype=bool), accel=1.0)
@@ -189,7 +177,7 @@ def test_csgm_data_term_vanishes_on_consistent_iterate():
     y = apply_forward(fm, truth)
     prior = ScorePrior(kind="zero")
     zeta = random_complex(np.random.default_rng(0), truth.shape)
-    out = csgm_step(truth, prior, fm, y, 0, zeta, dc_weight=1.0)
+    out = csgm_step(truth, prior, fm, y, 0, zeta)
     base = langevin_step(truth, prior, 0, zeta)
     assert np.max(np.abs(out - base)) < 1e-10
 
@@ -201,7 +189,7 @@ def test_csgm_scalar_recursion():
     prior = ScorePrior(kind="gaussian", schedule=sched, mean=None, tau2=1.0)
     x = np.array([[2.0 + 0j]])
     y = np.array([[[1.0 + 0j]]])
-    out = csgm_step(x, prior, fm, y, 0, np.zeros((1, 1)), 1.0)
+    out = csgm_step(x, prior, fm, y, 0, np.zeros((1, 1)))
     want = 2.0 + 0.25 * (-1.0 + (1.0 - 2.0))
     assert out[0, 0] == pytest.approx(want)
 

@@ -310,6 +310,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TttConfig(freeze_fraction=0.0)
     with pytest.raises(ValueError):
-        EarlyStopConfig(window=0)
+        EarlyStopConfig(window=-1)
     assert EarlyStopConfig().resolve_window(300) == 42
     assert TttConfig().freeze_step(300) == 129
