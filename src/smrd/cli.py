@@ -51,30 +51,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="flat key=value config file")
     for name, kind in FIELD_TYPES.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
-    parser.add_argument(
-        "--steps", type=int, default=None,
-        help="total sampling steps (must be a multiple of --levels)",
-    )
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config is not None:
-        cfg = load_config(args.config, cfg)
-    overrides = {
-        name: getattr(args, name)
-        for name in FIELD_TYPES
-        if getattr(args, name) is not None
-    }
-    cfg = cfg.replace(**overrides)
-    # levels < 1 is left for validate() to report
-    if args.steps is not None and cfg.levels >= 1:
-        if args.steps % cfg.levels:
-            raise ConfigError(
-                f"--steps {args.steps} is not a multiple of levels={cfg.levels}"
-            )
-        cfg = cfg.replace(steps_per_level=args.steps // cfg.levels)
-    return cfg.validate()
+    cfg = ExperimentConfig() if args.config is None else load_config(args.config)
+    overrides = {k: v for k, v in vars(args).items() if k in FIELD_TYPES and v is not None}
+    return cfg.replace(**overrides).validate()
 
 
 def _parse_grid(raw: str, name: str) -> list[float]:
@@ -89,7 +71,8 @@ def _parse_grid(raw: str, name: str) -> list[float]:
 
 def _load_sim(cfg: ExperimentConfig) -> tuple[np.ndarray, ForwardModel, np.ndarray]:
     """Load the simulated inputs, checked against the config: every file
-    must have the config's shape, and coils and k-space must be finite."""
+    must have the config's shape, coils and k-space must be finite, and
+    the mask must be u8 zeros and ones."""
     out = Path(cfg.out)
     image = (cfg.size, cfg.size)
     stack = (cfg.coils, *image)
@@ -101,6 +84,8 @@ def _load_sim(cfg: ExperimentConfig) -> tuple[np.ndarray, ForwardModel, np.ndarr
             raise TensorFileError(f"{path}: shape {data.shape}, expected {shape} from the config")
         if name in ("coils", "kspace") and not np.all(np.isfinite(data)):
             raise TensorFileError(f"{path}: contains non-finite values")
+        if name == "mask" and (data.dtype != np.uint8 or np.any(data > 1)):
+            raise TensorFileError(f"{path}: not a u8 mask of 0s and 1s")
         loaded[name] = data
     mask = SamplingMask(keep=loaded["mask"].astype(bool), accel=cfg.accel)
     return loaded["truth"], ForwardModel(sens=loaded["coils"], mask=mask), loaded["kspace"]
@@ -250,3 +235,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -24,7 +24,11 @@ from .sampler import SamplerConfig
 from .sure import EarlyStopConfig, SureConfig, TttConfig
 
 MASK_KINDS = ("equispaced", "poisson")
-PRIOR_MEANS = ("zero", "truth", "smoothed_truth")
+# each prior setting and the ScorePrior kind it builds: a gaussian centered
+# on the truth, the blurred truth or zero, or no prior (tau2 unused)
+PRIOR_KIND = {"truth": "gaussian", "smoothed_truth": "gaussian", "zero_mean": "gaussian",
+              "none": "zero"}
+PRIORS = tuple(PRIOR_KIND)
 SMOOTHED_MEAN_BLUR_PX = 2.0  # blur std of the smoothed_truth prior mean
 
 
@@ -59,11 +63,10 @@ class ExperimentConfig:
     calib: int = 16
     sigma: float = 0.0
     # prior
-    prior: str = "gaussian"
-    prior_mean: str = "truth"
+    prior: str = "truth"  # one of PRIORS
     tau2: float = 1e-5
     levels: int = 30
-    steps_per_level: int = 10
+    steps: int = 300  # a multiple of levels; each level runs steps // levels
     beta_min: float = 0.003
     beta_max: float = 1.0
     eps0: float = 1.8e-6
@@ -82,7 +85,7 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """The one gate, run before any file is read or written. Its own
-        rules: finite floats, a known `mask` and `prior_mean`, coils >= 1
+        rules: finite floats, a known `mask` and `prior`, coils >= 1
         and accel >= 1. Every other rule is a component's own and runs by
         building that component's spec; its ValueError is re-raised as
         ConfigError."""
@@ -90,7 +93,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if kind is float and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        for name, allowed in (("mask", MASK_KINDS), ("prior_mean", PRIOR_MEANS)):
+        for name, allowed in (("mask", MASK_KINDS), ("prior", PRIORS)):
             value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"unknown {name} {value!r}, expected one of {allowed}")
@@ -129,11 +132,10 @@ def _convert(name: str, kind: type, raw: str):
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Apply the `key = value` lines of `text` to `base` (default: the
-    defaults). Only parses: unknown keys and unparsable values raise
-    ConfigError, and the caller gates the finished config with validate()."""
-    cfg = base or ExperimentConfig()
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Apply the `key = value` lines of `text` to the defaults. Only parses:
+    unknown keys and unparsable values raise ConfigError, and the caller
+    gates the finished config with validate()."""
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -146,12 +148,12 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         if key not in FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         updates[key] = _convert(key, FIELD_TYPES[key], raw)
-    return cfg.replace(**updates)
+    return ExperimentConfig(**updates)
 
 
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base)
+        return parse_config_text(fh.read())
 
 
 # pipeline assembly -----------------------------------------------------------
@@ -182,19 +184,22 @@ def build_noise_spec(cfg: ExperimentConfig) -> NoiseSpec:
 
 
 def _score_prior(cfg: ExperimentConfig, mean: np.ndarray | None = None) -> ScorePrior:
+    if cfg.levels < 1 or cfg.steps < 1 or cfg.steps % cfg.levels:
+        raise ValueError("steps must be a positive multiple of levels >= 1, "
+                         f"got steps={cfg.steps}, levels={cfg.levels}")
     schedule = NoiseSchedule(
         levels=cfg.levels, beta_max=cfg.beta_max, beta_min=cfg.beta_min,
-        steps_per_level=cfg.steps_per_level, eps0=cfg.eps0,
+        steps_per_level=cfg.steps // cfg.levels, eps0=cfg.eps0,
     )
-    return ScorePrior(kind=cfg.prior, schedule=schedule, mean=mean, tau2=cfg.tau2)
+    return ScorePrior(kind=PRIOR_KIND[cfg.prior], schedule=schedule, mean=mean, tau2=cfg.tau2)
 
 
 def build_prior(cfg: ExperimentConfig, truth: np.ndarray | None) -> ScorePrior:
     mean = None
-    if cfg.prior == "gaussian" and cfg.prior_mean != "zero":
+    if cfg.prior in ("truth", "smoothed_truth"):
         if truth is None:
-            raise ConfigError(f"prior_mean={cfg.prior_mean!r} needs the ground-truth image")
-        mean = truth if cfg.prior_mean == "truth" else gaussian_blur(truth, SMOOTHED_MEAN_BLUR_PX)
+            raise ConfigError(f"prior={cfg.prior!r} needs the ground-truth image")
+        mean = truth if cfg.prior == "truth" else gaussian_blur(truth, SMOOTHED_MEAN_BLUR_PX)
     return _score_prior(cfg, mean)
 
 

@@ -42,8 +42,7 @@ class SamplingMask:
 
     @property
     def realized_accel(self) -> float:
-        kept = int(np.count_nonzero(self.keep))
-        return self.keep.size / kept if kept else float("inf")
+        return _realized_accel(self.keep)
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,14 @@ class ForwardModel:
         return self.mask.shape
 
 
+def _realized_accel(keep: np.ndarray) -> float:
+    """Pixels per kept sample; inf for an empty mask."""
+    kept = int(np.count_nonzero(keep))
+    return keep.size / kept if kept else float("inf")
+
+
 def _check_realized(keep: np.ndarray, accel: float) -> None:
-    realized = keep.size / max(int(np.count_nonzero(keep)), 1)
+    realized = _realized_accel(keep)
     if not (0.9 * accel <= realized <= 1.1 * accel):
         raise ValueError(
             f"realized acceleration {realized:.3f} outside 10% of requested {accel}"
@@ -288,14 +293,10 @@ def make_poisson_disc_mask(
         keep = build(hi)
         tries += 1
 
-    def in_band(mask_arr: np.ndarray) -> bool:
-        # aim inside the +/-10% contract with some slack to spare
-        realized = mask_arr.size / max(int(np.count_nonzero(mask_arr)), 1)
-        return 0.93 * accel <= realized <= 1.07 * accel
-
     best, base_used = keep, hi
     for _ in range(30):
-        if in_band(best):
+        # aim inside the +/-10% contract with some slack to spare
+        if 0.93 * accel <= _realized_accel(best) <= 1.07 * accel:
             break
         mid = 0.5 * (lo + hi)
         keep = build(mid)

@@ -72,8 +72,7 @@ class TttConfig:
             raise ValueError("freeze_fraction must be in (0, 1]")
 
     def freeze_step(self, total_steps: int) -> int:
-        # guard against float dust pushing an exact product past its ceil
-        return int(math.ceil(self.freeze_fraction * total_steps - 1e-9))
+        return _ceil_fraction(self.freeze_fraction, total_steps)
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,12 @@ class EarlyStopConfig:
     def resolve_window(self, total_steps: int) -> int:
         if self.window > 0:
             return self.window
-        return int(math.ceil(0.14 * total_steps - 1e-9))
+        return _ceil_fraction(0.14, total_steps)
+
+
+def _ceil_fraction(frac: float, total_steps: int) -> int:
+    # ceil(frac * T), guarded against float dust pushing an exact product past its ceil
+    return int(math.ceil(frac * total_steps - 1e-9))
 
 
 @dataclass

@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,18 +15,17 @@ from smrd.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _resolve_confi
 from smrd.config import (
     FIELD_TYPES,
     MASK_KINDS,
-    PRIOR_MEANS,
+    PRIORS,
     ExperimentConfig,
     build_forward_model,
     build_phantom,
 )
 from smrd.forward import apply_adjoint, apply_forward
 from smrd.metrics import psnr
-from smrd.priors import PRIOR_KINDS
 from smrd.tensorfile import load_tensor, save_tensor
 
 FAST = [
-    "--size", "32", "--coils", "2", "--levels", "10", "--steps-per-level", "3",
+    "--size", "32", "--coils", "2", "--levels", "10", "--steps", "30",
     "--accel", "4", "--seed", "5",
 ]
 
@@ -57,7 +59,7 @@ def test_simulate_outputs_and_noiseless_kspace(tmp_path):
     assert manifest["noise_std"] == "0.0"
     assert 3.6 <= float(manifest["realized_accel"]) <= 4.4
     # noiseless k-space is exactly the forward model output
-    cfg = ExperimentConfig(size=32, coils=2, levels=10, steps_per_level=3,
+    cfg = ExperimentConfig(size=32, coils=2, levels=10, steps=30,
                            accel=4.0, seed=5, sigma=0.0)
     truth = build_phantom(cfg)
     fm = build_forward_model(cfg)
@@ -81,7 +83,7 @@ def test_recon_zero_filled_matches_external_metric(tmp_path):
     truth = load_tensor(out / "truth.smrd")
     zf = apply_adjoint(
         build_forward_model(
-            ExperimentConfig(size=32, coils=2, levels=10, steps_per_level=3,
+            ExperimentConfig(size=32, coils=2, levels=10, steps=30,
                              accel=4.0, seed=5)
         ),
         load_tensor(out / "kspace.smrd"),
@@ -186,7 +188,7 @@ def test_compare_runs_all_methods_byte_identically(tmp_path):
 
 def test_config_file_plus_flag_overrides(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(ExperimentConfig(size=32, coils=2, levels=10, steps_per_level=3,
+    cfg_path.write_text(ExperimentConfig(size=32, coils=2, levels=10, steps=30,
                                          accel=4.0, sigma=0.25, seed=5).to_text())
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", cfg_path, "--sigma", "0.0",
@@ -217,7 +219,7 @@ def test_steps_with_zero_levels_is_config_error(tmp_path, capsys):
     code = run_cli("simulate", "--levels", 0, "--steps", 30, "--out", tmp_path)
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == "error: levels and steps_per_level must be positive\n"
+    assert err == "error: steps must be a positive multiple of levels >= 1, got steps=30, levels=0\n"
     assert "Traceback" not in err
 
 
@@ -297,6 +299,21 @@ def test_recon_config_mismatch_is_io_error(tmp_path, capsys, flags, bad_file):
     assert bad_file in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["truth", "u8 with a 2"])
+def test_recon_non_mask_is_io_error(tmp_path, capsys, source):
+    out = tmp_path / "sim"
+    run_cli("simulate", *FAST, "--out", out)
+    if source == "truth":
+        (out / "mask.smrd").write_bytes((out / "truth.smrd").read_bytes())
+    else:
+        mask = load_tensor(out / "mask.smrd")
+        mask[mask == 1] = 2
+        save_tensor(out / "mask.smrd", mask)
+    assert run_cli("recon", *FAST, "--method", "am_fixed", "--out", out) == EXIT_IO
+    assert "mask.smrd" in capsys.readouterr().err
+    assert not (out / "image_am_fixed.smrd").exists()
+
+
 def test_recon_mask_shape_mismatch_is_io_error(tmp_path, capsys):
     out = tmp_path / "sim"
     run_cli("simulate", *FAST, "--out", out)
@@ -319,14 +336,27 @@ def test_recon_nonfinite_input_is_io_error(tmp_path, capsys, name, method):
     assert f"{name}.smrd" in capsys.readouterr().err
 
 
+def test_module_runs_as_a_script(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def smrd_module(*args):
+        cmd = [sys.executable, "-m", "smrd.cli", *map(str, args)]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True).returncode
+
+    out = tmp_path / "sim"
+    assert smrd_module("simulate", *FAST, "--out", out) == EXIT_OK
+    assert (out / "kspace.smrd").exists()
+    assert smrd_module("recon", *FAST, "--out", tmp_path / "empty") == EXIT_IO
+
+
 # CLI flags are derived from the config fields ----------------------------
 
 # a valid non-default value for each text field and for the numeric fields
 # whose default + 1 is out of range; other numeric fields use default + 1
 NON_DEFAULT = {
-    "phantom": "blob_grid", "phase": "smooth", "mask": "poisson", "prior": "zero",
-    "prior_mean": "zero", "method": "am_fixed", "out": "elsewhere",
-    "beta_min": 0.01, "freeze_fraction": 0.5,
+    "phantom": "blob_grid", "phase": "smooth", "mask": "poisson", "prior": "none",
+    "method": "am_fixed", "out": "elsewhere",
+    "beta_min": 0.01, "freeze_fraction": 0.5, "levels": 60, "steps": 600,
 }
 
 
@@ -341,18 +371,60 @@ def test_every_config_field_has_a_typed_flag(field):
     assert got == value
 
 
-@pytest.mark.parametrize("flag", ["--phantom", "--phase", "--mask", "--prior",
-                                  "--prior-mean", "--method"])
+@pytest.mark.parametrize("flag", ["--phantom", "--phase", "--mask", "--prior", "--method"])
 def test_bad_kind_value_is_config_error(tmp_path, flag):
     assert run_cli("simulate", *FAST, flag, "nope", "--out", tmp_path) == EXIT_CONFIG
 
 
+def exit_code(*args):
+    try:
+        return run_cli(*args)
+    except SystemExit as exc:  # argparse rejects an unknown flag
+        return exc.code
+
+
 def test_removed_settings_are_rejected(tmp_path):
-    assert run_cli("simulate", *FAST, "--prior", "smoothness", "--out", tmp_path) == EXIT_CONFIG
-    for flag in ("--dc-weight", "--gamma", "--mean-blur", "--acs-fraction"):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["simulate", flag, "1"])
-        assert exc.value.code == EXIT_CONFIG
+    # no old spelling comes back, with its old meaning or a new one
+    out = tmp_path / "sim"
+    for flags in (["--prior", "smoothness"], ["--prior", "gaussian"], ["--prior", "zero"],
+                  ["--prior-mean", "zero"], ["--steps-per-level", "3"], ["--dc-weight", "1"],
+                  ["--gamma", "1"], ["--mean-blur", "1"], ["--acs-fraction", "1"]):
+        assert exit_code("simulate", *FAST, *flags, "--out", out) == EXIT_CONFIG, flags
+    cfg_path = tmp_path / "old.cfg"
+    for line in ("prior_mean = zero", "steps_per_level = 3"):
+        cfg_path.write_text(line + "\n")
+        assert exit_code("simulate", *FAST, "--config", cfg_path, "--out", out) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_steps_flag_and_config_key_agree(tmp_path):
+    base = ["--size", "32", "--coils", "2", "--levels", "10", "--seed", "5", "--sigma", "0.02"]
+    cfg_path = tmp_path / "steps.cfg"
+    cfg_path.write_text("steps = 60\n")
+    runs = {"flag": ["--steps", "60"], "file": ["--config", str(cfg_path)]}
+    configs = [_resolve_config(build_parser().parse_args(["recon", *base, *extra]))
+               for extra in runs.values()]
+    assert configs[0] == configs[1] and configs[0].steps == 60
+    hashes = []
+    for name, extra in runs.items():
+        out = tmp_path / name
+        assert run_cli("simulate", *base, "--out", out) == EXIT_OK
+        assert run_cli("recon", *base, *extra, "--method", "smrd", "--out", out) == EXIT_OK
+        hashes.append(file_hashes(out))
+    assert hashes[0] == hashes[1]
+    assert len((tmp_path / "flag" / "trace_smrd.csv").read_text().splitlines()) <= 1 + 60
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_levels_must_divide_default_steps(tmp_path, capsys, where):
+    cfg_path = tmp_path / "levels.cfg"
+    cfg_path.write_text("levels = 7\n")
+    levels = ["--levels", "7"] if where == "flag" else ["--config", cfg_path]
+    out = tmp_path / "sim"
+    assert run_cli("simulate", *levels, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: steps must be a positive multiple of levels >= 1, got steps=300, levels=7\n"
+    assert not out.exists()
 
 
 # the config gate ------------------------------------------------------------
@@ -361,9 +433,8 @@ def test_removed_settings_are_rejected(tmp_path):
 # so a new field cannot skip the gate
 REJECTED = {
     "phantom": "nope", "size": 8, "phase": "nope", "coils": 0, "mask": "radial",
-    "accel": 0.5, "sigma": -0.5, "prior": "nope",
-    "prior_mean": "nope", "tau2": -1.0, "levels": 0,
-    "steps_per_level": 0, "beta_min": 2.0, "beta_max": 0.001, "eps0": 0.0,
+    "accel": 0.5, "sigma": -0.5, "prior": "nope", "tau2": -1.0, "levels": 0,
+    "steps": 0, "beta_min": 2.0, "beta_max": 0.001, "eps0": 0.0,
     "method": "nope", "cg_iters": 0, "lambda0": 0.0, "alpha": 0.0,
     "freeze_fraction": 2.0, "window": -1, "probes": 0, "eps_rel": -1.0,
 }
@@ -421,6 +492,5 @@ def test_docs_name_the_parsers_verbs():
     assert set(re.findall(r"--[a-z][a-z0-9-]*", readme)) <= options
 
     kinds = dict(re.findall(r"`(--[a-z-]+) ([a-z_]+(?:\|[a-z_]+)+)`", readme))
-    for flag, allowed in (("--mask", MASK_KINDS), ("--prior", PRIOR_KINDS),
-                          ("--prior-mean", PRIOR_MEANS)):
+    for flag, allowed in (("--mask", MASK_KINDS), ("--prior", PRIORS)):
         assert set(kinds[flag].split("|")) == set(allowed)

@@ -16,7 +16,7 @@ from smrd.forward import make_equispaced_mask
 
 def test_round_trip_through_flat_format(tmp_path):
     cfg = ExperimentConfig(accel=8.0, sigma=0.0125, method="am_fixed", seed=17,
-                           prior_mean="smoothed_truth", out="results/run1")
+                           prior="smoothed_truth", out="results/run1")
     path = tmp_path / "exp.cfg"
     path.write_text(cfg.to_text())
     back = load_config(path)

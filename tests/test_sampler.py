@@ -207,7 +207,7 @@ def small_setup(sigma=0.0, seed=0):
     from smrd.forward import add_kspace_noise
 
     cfg = ExperimentConfig(size=32, coils=2, accel=4.0, sigma=sigma, seed=seed,
-                           levels=10, steps_per_level=3)
+                           levels=10, steps=30)
     truth = build_phantom(cfg)
     fm = build_forward_model(cfg)
     y = add_kspace_noise(apply_forward(fm, truth), fm.mask, build_noise_spec(cfg))
