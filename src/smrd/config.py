@@ -25,7 +25,7 @@ from .sure import EarlyStopConfig, SureConfig, TttConfig
 
 MASK_KINDS = ("equispaced", "poisson")
 # each prior setting and the ScorePrior kind it builds: a gaussian centered
-# on the truth, the blurred truth or zero, or no prior (tau2 unused)
+# on the truth, the blurred truth or zero, or no prior (tau2 unused, still positive)
 PRIOR_KIND = {"truth": "gaussian", "smoothed_truth": "gaussian", "zero_mean": "gaussian",
               "none": "zero"}
 PRIORS = tuple(PRIOR_KIND)
@@ -85,10 +85,10 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """The one gate, run before any file is read or written. Its own
-        rules: finite floats, a known `mask` and `prior`, coils >= 1
-        and accel >= 1. Every other rule is a component's own and runs by
-        building that component's spec; its ValueError is re-raised as
-        ConfigError."""
+        rules: finite floats, a known `mask` and `prior`, coils >= 1,
+        accel >= 1 and 0 <= calib <= size under every mask. Every other
+        rule is a component's own and runs by building that component's
+        spec; its ValueError is re-raised as ConfigError."""
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
             if kind is float and not math.isfinite(value):
@@ -109,6 +109,8 @@ class ExperimentConfig:
             build_controller_configs(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if not 0 <= self.calib <= self.size:
+            raise ConfigError(f"calib must be in [0, size={self.size}], got {self.calib}")
         return self
 
     def replace(self, **overrides) -> "ExperimentConfig":

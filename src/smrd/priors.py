@@ -88,13 +88,13 @@ class ScorePrior:
     kind: str = "gaussian"
     schedule: NoiseSchedule = NoiseSchedule()
     mean: np.ndarray | None = None  # gaussian: prior mean image (None = zero)
-    tau2: float = 1.0               # gaussian: prior variance
+    tau2: float = 1.0               # gaussian: prior variance (positive under every kind)
 
     def __post_init__(self) -> None:
         if self.kind not in PRIOR_KINDS:
             raise ValueError(f"unknown prior kind {self.kind!r}, expected one of {PRIOR_KINDS}")
-        if self.kind == "gaussian" and self.tau2 <= 0:
-            raise ValueError("tau2 must be positive for the gaussian prior")
+        if self.tau2 <= 0:
+            raise ValueError(f"tau2 must be positive, got {self.tau2}")
 
     @property
     def total_steps(self) -> int:

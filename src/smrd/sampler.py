@@ -108,7 +108,12 @@ def cg_solve(
     lam must be strictly positive (A^H A alone is singular under
     undersampling). The iteration is deterministic, so `iters = k` returns
     the k-th iterate of one and the same CG sequence (`iters = 0` returns
-    x_plus).
+    x_plus). The inputs are never written to.
+
+    Each call allocates one (coils, h, w) work array and runs every apply
+    of the normal operator in place in it, so an apply allocates only its
+    (h, w) result. The inverse FFT is `ifftn` over the last two axes
+    because numpy 2.4's `ifft2` ignores `out=`.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -120,10 +125,21 @@ def cg_solve(
     sens = np.fft.ifftshift(fm.sens, axes=_AXES)
     sens_h = np.conj(sens)
     keep = np.fft.ifftshift(fm.mask.keep, axes=_AXES)
+    work = np.empty(sens.shape, dtype=np.complex128)
 
     def normal_op(z: np.ndarray) -> np.ndarray:
-        ksp = np.fft.fft2(sens * z, axes=_AXES, norm="ortho") * keep
-        return np.sum(sens_h * np.fft.ifft2(ksp, axes=_AXES, norm="ortho"), axis=0) + lam * z
+        np.multiply(sens, z, out=work)
+        np.fft.fft2(work, axes=_AXES, norm="ortho", out=work)
+        np.multiply(work, keep, out=work)
+        np.fft.ifftn(work, axes=_AXES, norm="ortho", out=work)
+        # work first: complex products are not bitwise commutative, and this
+        # order keeps outputs bit-identical to the out-of-place product that
+        # numpy's temporary elision turned into `ifft2(...) *= sens_h` for
+        # coil stacks of 256 KB and more
+        np.multiply(work, sens_h, out=work)
+        out = np.sum(work, axis=0)
+        out += lam * z
+        return out
 
     b = np.fft.ifftshift(x_zf + lam * x_plus, axes=_AXES)
     z = np.fft.ifftshift(np.asarray(x_plus, dtype=np.complex128), axes=_AXES)

@@ -436,9 +436,9 @@ REJECTED = {
     "accel": 0.5, "sigma": -0.5, "prior": "nope", "tau2": -1.0, "levels": 0,
     "steps": 0, "beta_min": 2.0, "beta_max": 0.001, "eps0": 0.0,
     "method": "nope", "cg_iters": 0, "lambda0": 0.0, "alpha": 0.0,
-    "freeze_fraction": 2.0, "window": -1, "probes": 0, "eps_rel": -1.0,
+    "freeze_fraction": 2.0, "window": -1, "probes": 0, "eps_rel": -1.0, "calib": 999,
 }
-UNCONSTRAINED = {"calib", "seed", "out"}
+UNCONSTRAINED = {"seed", "out"}
 
 
 def rejected_flags(name):
@@ -464,6 +464,18 @@ def test_rejected_value_exits_before_any_read(tmp_path, name):
     # a missing input would be an I/O error (3); the gate runs first
     code = run_cli("recon", *FAST, *rejected_flags(name), "--out", tmp_path / "empty")
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flags", [
+    ["--prior", "none", "--tau2", "-1"],
+    ["--mask", "equispaced", "--calib", "-1"],
+    ["--mask", "poisson", "--calib", "33"],
+])
+def test_value_unread_under_another_setting_is_still_rejected(tmp_path, capsys, flags):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", *FAST, *flags, "--out", out) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {flags[-2].lstrip('-')} must be")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, grid", [("--lambdas", "1,0"), ("--sigmas", "0,-0.5")])

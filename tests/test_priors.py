@@ -105,6 +105,8 @@ def test_prior_validation():
     with pytest.raises(ValueError):
         ScorePrior(kind="gaussian", tau2=0.0)
     with pytest.raises(ValueError):
+        ScorePrior(kind="zero", tau2=-1.0)  # unused by the zero prior, still checked
+    with pytest.raises(ValueError):
         ScorePrior(kind="smoothness")
 
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from smrd.forward import ForwardModel, SamplingMask, apply_adjoint, apply_forward, make_equispaced_mask
+from smrd.forward import (
+    ForwardModel,
+    SamplingMask,
+    apply_adjoint,
+    apply_forward,
+    make_equispaced_mask,
+    make_poisson_disc_mask,
+)
 from smrd.metrics import psnr
 from smrd.phantom import PhantomSpec, make_phantom, make_synth_coils
 from smrd.priors import NoiseSchedule, ScorePrior, eta, score
@@ -114,6 +121,83 @@ def test_cg_residual_monotone():
         ]
         for a, b in zip(resid, resid[1:]):
             assert b <= a * (1 + 1e-10) + 1e-12 * resid[0]
+
+
+def _odd_random_mask_model():
+    h, w = 15, 17
+    keep = np.random.default_rng(11).random((h, w)) < 0.4
+    return ForwardModel(sens=make_synth_coils(h, w, 3, 2), mask=SamplingMask(keep=keep, accel=2.5))
+
+
+CG_MODELS = {
+    "equispaced_64x64x4": lambda: ForwardModel(
+        sens=make_synth_coils(64, 64, 4, 0), mask=make_equispaced_mask(64, 64, 4.0, 0.08, 1)),
+    "poisson_32x32x2": lambda: ForwardModel(
+        sens=make_synth_coils(32, 32, 2, 0), mask=make_poisson_disc_mask(32, 32, 4.0, 8, 1)),
+    "random_15x17x3": _odd_random_mask_model,
+}
+
+
+def reference_cg(fm, lam, x_zf, x_plus, iters):
+    """Textbook CG on (A^H A + lam I) z = x_zf + lam x_plus from z0 = x_plus,
+    built from the public out-of-place operators."""
+    def normal(v):
+        return apply_adjoint(fm, apply_forward(fm, v)) + lam * v
+
+    z = x_plus.copy()
+    r = x_zf + lam * x_plus - normal(z)
+    p = r.copy()
+    rz = np.vdot(r, r).real
+    for _ in range(iters):
+        ap = normal(p)
+        alpha = rz / np.vdot(p, ap).real
+        z = z + alpha * p
+        r = r - alpha * ap
+        rz_new = np.vdot(r, r).real
+        p = r + (rz_new / rz) * p
+        rz = rz_new
+    return z
+
+
+@pytest.mark.parametrize("name", sorted(CG_MODELS))
+def test_cg_one_iteration_matches_reference_step(name):
+    fm = CG_MODELS[name]()
+    rng = np.random.default_rng(12)
+    x_zf = random_complex(rng, fm.shape)
+    x_plus = random_complex(rng, fm.shape)
+    want = reference_cg(fm, 0.8, x_zf, x_plus, 1)
+    got = cg_solve(fm, 0.8, x_zf, x_plus, 1)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("iters", [0, 1, 3])
+def test_cg_leaves_inputs_alone_and_returns_its_own_array(iters):
+    fm = _odd_random_mask_model()
+    rng = np.random.default_rng(13)
+    x_zf = random_complex(rng, fm.shape)
+    x_plus = random_complex(rng, fm.shape)
+    before = (x_zf.copy(), x_plus.copy(), fm.sens.copy(), fm.mask.keep.copy())
+    got = cg_solve(fm, 1.5, x_zf, x_plus, iters)
+    for a, b in zip(before, (x_zf, x_plus, fm.sens, fm.mask.keep)):
+        assert np.array_equal(a, b)
+    assert not np.shares_memory(got, x_zf) and not np.shares_memory(got, x_plus)
+
+
+def test_cg_interleaved_calls_match_fresh_calls():
+    # two models of one shape: a solve must not see another solve's state
+    other = ForwardModel(sens=make_synth_coils(64, 64, 4, 5),
+                         mask=make_equispaced_mask(64, 64, 2.0, 0.08, 6))
+    fms = [CG_MODELS["equispaced_64x64x4"](), other]
+    rng = np.random.default_rng(14)
+    x_zf = random_complex(rng, (64, 64))
+    x_plus = random_complex(rng, (64, 64))
+    cells = [(0, 0.5), (1, 4.0), (0, 4.0), (1, 0.5), (0, 0.5)]
+    fresh = {cell: cg_solve(fms[cell[0]], cell[1], x_zf, x_plus, 5) for cell in cells}
+    for cell in reversed(cells):
+        got = cg_solve(fms[cell[0]], cell[1], x_zf, x_plus, 5)
+        assert np.array_equal(got, fresh[cell])
+        want = reference_cg(fms[cell[0]], cell[1], x_zf, x_plus, 5)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_cg_rejects_nonpositive_lambda():
