@@ -6,6 +6,7 @@ from .config import ConfigError, ExperimentConfig, derive_seed, load_config, par
 from .forward import (
     ForwardModel,
     NoiseSpec,
+    NormalOperator,
     SamplingMask,
     add_kspace_noise,
     apply_adjoint,

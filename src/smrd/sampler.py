@@ -13,17 +13,22 @@ One reconstruction step of the tuned method is:
 Baselines: `am_fixed` keeps lam constant with no stopping, `csgm` /
 `csgm_es` take a single posterior-score gradient step instead of the inner
 solve, and `zero_filled` returns the adjoint image.
+
+Each reconstruction prepares one `forward.NormalOperator` and runs every
+CG solve and every CSGM data term through it, in natural FFT order and in
+place; the operator goes with the run and is cached nowhere.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .forward import ForwardModel, apply_adjoint, apply_forward
+from .forward import ForwardModel, NormalOperator, apply_adjoint
 from .fourier import complex_normal, norm2
 from .priors import ScorePrior, eta, score
 from .sure import (
@@ -96,60 +101,41 @@ def langevin_step(x: np.ndarray, prior: ScorePrior, t: int, zeta: np.ndarray) ->
 
 
 def cg_solve(
-    fm: ForwardModel,
+    op: NormalOperator,
     lam: float,
     x_zf: np.ndarray,
     x_plus: np.ndarray,
     iters: int,
 ) -> np.ndarray:
     """Run `iters` conjugate-gradient iterations on
-    (A^H A + lam I) z = x_zf + lam * x_plus, warm-started at z0 = x_plus.
+    (A^H A + lam I) z = x_zf + lam * x_plus, warm-started at z0 = x_plus,
+    with the operator `op` prepared from the forward model.
 
     lam must be strictly positive (A^H A alone is singular under
-    undersampling). The iteration is deterministic, so `iters = k` returns
-    the k-th iterate of one and the same CG sequence (`iters = 0` returns
-    x_plus). The inputs are never written to.
+    undersampling) and iters nonnegative. The iteration is deterministic, so
+    `iters = k` returns the k-th iterate of one and the same CG sequence
+    (`iters = 0` returns a copy of x_plus). The inputs are never written to.
 
-    Each call allocates one (coils, h, w) work array and runs every apply
-    of the normal operator in place in it, so an apply allocates only its
-    (h, w) result. The inverse FFT is `ifftn` over the last two axes
-    because numpy 2.4's `ifft2` ignores `out=`.
+    The whole solve runs in natural FFT order, with one shift of the
+    right-hand side and the start at entry and one of the result at exit;
+    every apply runs in place in `op`'s work array.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    if x_zf.shape != fm.shape or x_plus.shape != fm.shape:
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
+    if x_zf.shape != op.shape or x_plus.shape != op.shape:
         raise ValueError("x_zf / x_plus shapes do not match the forward model")
-
-    # The centered-FFT shifts are permutations, so the whole solve runs in
-    # natural FFT order with one shift at each boundary.
-    sens = np.fft.ifftshift(fm.sens, axes=_AXES)
-    sens_h = np.conj(sens)
-    keep = np.fft.ifftshift(fm.mask.keep, axes=_AXES)
-    work = np.empty(sens.shape, dtype=np.complex128)
-
-    def normal_op(z: np.ndarray) -> np.ndarray:
-        np.multiply(sens, z, out=work)
-        np.fft.fft2(work, axes=_AXES, norm="ortho", out=work)
-        np.multiply(work, keep, out=work)
-        np.fft.ifftn(work, axes=_AXES, norm="ortho", out=work)
-        # work first: complex products are not bitwise commutative, and this
-        # order keeps outputs bit-identical to the out-of-place product that
-        # numpy's temporary elision turned into `ifft2(...) *= sens_h` for
-        # coil stacks of 256 KB and more
-        np.multiply(work, sens_h, out=work)
-        out = np.sum(work, axis=0)
-        out += lam * z
-        return out
 
     b = np.fft.ifftshift(x_zf + lam * x_plus, axes=_AXES)
     z = np.fft.ifftshift(np.asarray(x_plus, dtype=np.complex128), axes=_AXES)
-    r = b - normal_op(z)
+    r = b - op.normal(z, lam)
     p = r.copy()
     rz = float(np.vdot(r, r).real)
     for _ in range(iters):
         if rz == 0.0:
             break
-        ap = normal_op(p)
+        ap = op.normal(p, lam)
         pap = float(np.vdot(p, ap).real)
         if pap <= 0.0:
             break
@@ -165,15 +151,15 @@ def cg_solve(
 def csgm_step(
     x: np.ndarray,
     prior: ScorePrior,
-    fm: ForwardModel,
-    y: np.ndarray,
+    data_term: Callable[[np.ndarray], np.ndarray],
     t: int,
     zeta: np.ndarray,
 ) -> np.ndarray:
     """Posterior-score Langevin baseline: one gradient step on
-    score + A^H (y - A x), no inner solve."""
+    score + A^H (y - A x), no inner solve. `data_term` is
+    `NormalOperator(fm).data_term(y)`, built once per run."""
     et = eta(prior.schedule, t)
-    grad = score(prior, x, t) + apply_adjoint(fm, y - apply_forward(fm, x))
+    grad = score(prior, x, t) + data_term(x)
     return x + et * grad + math.sqrt(2.0 * et) * zeta
 
 
@@ -212,6 +198,9 @@ def run_reconstruction(
     use_ttt = cfg.method == "smrd"
     use_sure = cfg.method in ("smrd", "csgm_es")  # SURE also drives early stopping
     am_path = cfg.method in ("smrd", "am_fixed")
+    op = NormalOperator(fm)
+    # only the CSGM methods pay for a natural-order copy of y
+    data_term = None if am_path else op.data_term(y)
 
     x = complex_normal(rng, fm.shape)
     state = TttState(lam=ttt.lambda0)
@@ -229,12 +218,12 @@ def run_reconstruction(
             # iterate frozen: truncating the recursion through x_t leaves
             # only this step's explicit dependence on x_zf.
             def h(v: np.ndarray, lmb: float) -> np.ndarray:
-                return cg_solve(fm, lmb, v, x_plus, cfg.cg_iters)
+                return cg_solve(op, lmb, v, x_plus, cfg.cg_iters)
 
             v_t = x_zf
         else:
             def h(v: np.ndarray, lmb: float) -> np.ndarray:
-                return csgm_step(v, prior, fm, y, t, zeta)
+                return csgm_step(v, prior, data_term, t, zeta)
 
             v_t = x
         x_next = h(v_t, lam_t)

@@ -19,6 +19,7 @@ from smrd.config import (
 from smrd.cli import main
 from smrd.forward import (
     ForwardModel,
+    NormalOperator,
     add_kspace_noise,
     apply_adjoint,
     apply_forward,
@@ -102,6 +103,7 @@ def test_criterion_2_cg_oracle():
     h = w = 8
     mask = make_equispaced_mask(h, w, 2.0, 0.0, seed=3)
     fm = ForwardModel(sens=make_synth_coils(h, w, 1, 3), mask=mask)
+    op = NormalOperator(fm)
     rng = np.random.default_rng(102)
     x_zf = random_complex(rng, (h, w))
     x_plus = random_complex(rng, (h, w))
@@ -119,12 +121,12 @@ def test_criterion_2_cg_oracle():
         dense = np.linalg.solve(
             gram + lam * np.eye(n), (x_zf + lam * x_plus).ravel()
         ).reshape(h, w)
-        got = cg_solve(fm, lam, x_zf, x_plus, 64)
+        got = cg_solve(op, lam, x_zf, x_plus, 64)
         worst_rel = max(worst_rel, np.linalg.norm(got - dense) / np.linalg.norm(dense))
         # true residual of the k-th CG iterate, k = 0..5
         resid = [
             np.linalg.norm(x_zf + lam * x_plus - apply_adjoint(fm, apply_forward(fm, z)) - lam * z)
-            for z in (cg_solve(fm, lam, x_zf, x_plus, k) for k in range(6))
+            for z in (cg_solve(op, lam, x_zf, x_plus, k) for k in range(6))
         ]
         for a, b in zip(resid, resid[1:]):
             if b > a * (1 + 1e-10) + 1e-12 * resid[0]:

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from smrd import sampler
 from smrd.forward import (
     ForwardModel,
+    NormalOperator,
     SamplingMask,
     apply_adjoint,
     apply_forward,
@@ -83,7 +87,7 @@ def test_cg_full_mask_single_coil_one_iteration_exact():
     x_zf = random_complex(rng, (8, 8))
     x_plus = random_complex(rng, (8, 8))
     lam = 2.0
-    got = cg_solve(fm, lam, x_zf, x_plus, 1)
+    got = cg_solve(NormalOperator(fm), lam, x_zf, x_plus, 1)
     want = (x_zf + lam * x_plus) / (1 + lam)
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -93,7 +97,7 @@ def test_cg_large_lambda_returns_x_plus():
     rng = np.random.default_rng(3)
     x_zf = random_complex(rng, (8, 8))
     x_plus = random_complex(rng, (8, 8))
-    got = cg_solve(fm, 1e6, x_zf, x_plus, 5)
+    got = cg_solve(NormalOperator(fm), 1e6, x_zf, x_plus, 5)
     assert np.linalg.norm(got - x_plus) / np.linalg.norm(x_plus) <= 1e-5
 
 
@@ -105,7 +109,7 @@ def test_cg_matches_dense_solve(lam):
     x_plus = random_complex(rng, (8, 8))
     mat = materialize_normal(fm, lam)
     want = np.linalg.solve(mat, (x_zf + lam * x_plus).ravel()).reshape(8, 8)
-    got = cg_solve(fm, lam, x_zf, x_plus, 64)
+    got = cg_solve(NormalOperator(fm), lam, x_zf, x_plus, 64)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
 
 
@@ -114,10 +118,11 @@ def test_cg_residual_monotone():
     rng = np.random.default_rng(5)
     x_zf = random_complex(rng, (8, 8))
     x_plus = random_complex(rng, (8, 8))
+    op = NormalOperator(fm)
     for lam in (0.1, 1.0, 10.0):
         resid = [
             np.linalg.norm(x_zf + lam * x_plus - apply_adjoint(fm, apply_forward(fm, z)) - lam * z)
-            for z in (cg_solve(fm, lam, x_zf, x_plus, k) for k in range(6))
+            for z in (cg_solve(op, lam, x_zf, x_plus, k) for k in range(6))
         ]
         for a, b in zip(resid, resid[1:]):
             assert b <= a * (1 + 1e-10) + 1e-12 * resid[0]
@@ -166,7 +171,7 @@ def test_cg_one_iteration_matches_reference_step(name):
     x_zf = random_complex(rng, fm.shape)
     x_plus = random_complex(rng, fm.shape)
     want = reference_cg(fm, 0.8, x_zf, x_plus, 1)
-    got = cg_solve(fm, 0.8, x_zf, x_plus, 1)
+    got = cg_solve(NormalOperator(fm), 0.8, x_zf, x_plus, 1)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -177,7 +182,7 @@ def test_cg_leaves_inputs_alone_and_returns_its_own_array(iters):
     x_zf = random_complex(rng, fm.shape)
     x_plus = random_complex(rng, fm.shape)
     before = (x_zf.copy(), x_plus.copy(), fm.sens.copy(), fm.mask.keep.copy())
-    got = cg_solve(fm, 1.5, x_zf, x_plus, iters)
+    got = cg_solve(NormalOperator(fm), 1.5, x_zf, x_plus, iters)
     for a, b in zip(before, (x_zf, x_plus, fm.sens, fm.mask.keep)):
         assert np.array_equal(a, b)
     assert not np.shares_memory(got, x_zf) and not np.shares_memory(got, x_plus)
@@ -192,9 +197,11 @@ def test_cg_interleaved_calls_match_fresh_calls():
     x_zf = random_complex(rng, (64, 64))
     x_plus = random_complex(rng, (64, 64))
     cells = [(0, 0.5), (1, 4.0), (0, 4.0), (1, 0.5), (0, 0.5)]
-    fresh = {cell: cg_solve(fms[cell[0]], cell[1], x_zf, x_plus, 5) for cell in cells}
+    ops = [NormalOperator(fm) for fm in fms]
+    fresh = {cell: cg_solve(NormalOperator(fms[cell[0]]), cell[1], x_zf, x_plus, 5)
+             for cell in cells}
     for cell in reversed(cells):
-        got = cg_solve(fms[cell[0]], cell[1], x_zf, x_plus, 5)
+        got = cg_solve(ops[cell[0]], cell[1], x_zf, x_plus, 5)
         assert np.array_equal(got, fresh[cell])
         want = reference_cg(fms[cell[0]], cell[1], x_zf, x_plus, 5)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -204,9 +211,92 @@ def test_cg_rejects_nonpositive_lambda():
     fm = unit_model(4, 4)
     z = np.zeros((4, 4), dtype=complex)
     with pytest.raises(ValueError):
-        cg_solve(fm, 0.0, z, z, 5)
+        cg_solve(NormalOperator(fm), 0.0, z, z, 5)
     with pytest.raises(ValueError):
-        cg_solve(fm, -1.0, z, z, 5)
+        cg_solve(NormalOperator(fm), -1.0, z, z, 5)
+
+
+def test_cg_rejects_negative_iters():
+    op = NormalOperator(unit_model(4, 4))
+    z = np.zeros((4, 4), dtype=complex)
+    with pytest.raises(ValueError):
+        cg_solve(op, 1.0, z, z, -3)
+
+
+# the prepared operator, shared by cg_solve and the CSGM data term -----
+
+def _operator_inputs(fm, seed):
+    rng = np.random.default_rng(seed)
+    x = random_complex(rng, fm.shape)
+    y = random_complex(rng, fm.sens.shape)
+    return x, y, random_complex(rng, fm.shape), random_complex(rng, fm.shape)
+
+
+@pytest.mark.parametrize("name", sorted(CG_MODELS))
+def test_data_term_is_bitwise_the_reference_operators(name):
+    fm = CG_MODELS[name]()
+    x, y, _, _ = _operator_inputs(fm, 15)
+    got = NormalOperator(fm).data_term(y)(x)
+    assert np.array_equal(got, apply_adjoint(fm, y - apply_forward(fm, x)))
+
+
+@pytest.mark.parametrize("name", sorted(CG_MODELS))
+def test_csgm_step_is_bitwise_the_reference_formula(name):
+    fm = CG_MODELS[name]()
+    x, y, zeta, _ = _operator_inputs(fm, 16)
+    prior = ScorePrior(kind="gaussian", mean=None, tau2=1.0)
+    t = 7
+    et = eta(prior.schedule, t)
+    grad = score(prior, x, t) + apply_adjoint(fm, y - apply_forward(fm, x))
+    want = x + et * grad + math.sqrt(2.0 * et) * zeta
+    got = csgm_step(x, prior, NormalOperator(fm).data_term(y), t, zeta)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(CG_MODELS))
+def test_one_operator_serves_interleaved_solves_and_data_terms(name):
+    fm = CG_MODELS[name]()
+    x, y, x_zf, x_plus = _operator_inputs(fm, 17)
+    op = NormalOperator(fm)
+    data_term = op.data_term(y)
+    for lam in (0.5, 4.0, 0.5):
+        got = cg_solve(op, lam, x_zf, x_plus, 5)
+        assert np.array_equal(got, cg_solve(NormalOperator(fm), lam, x_zf, x_plus, 5))
+        want = reference_cg(fm, lam, x_zf, x_plus, 5)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(data_term(x), NormalOperator(fm).data_term(y)(x))
+
+
+@pytest.mark.parametrize("name", sorted(CG_MODELS))
+def test_operator_leaves_inputs_alone_and_returns_its_own_arrays(name):
+    fm = CG_MODELS[name]()
+    x, y, x_zf, x_plus = _operator_inputs(fm, 18)
+    inputs = (fm.sens, fm.mask.keep, y, x_zf, x_plus, x)
+    before = [a.copy() for a in inputs]
+    op = NormalOperator(fm)
+    results = [cg_solve(op, 1.5, x_zf, x_plus, k) for k in (0, 3)]
+    results.append(op.data_term(y)(x))
+    for a, b in zip(before, inputs):
+        assert np.array_equal(a, b)
+    for got in results:
+        for held in (op.sens, op.sens_h, op.keep, op.work, *inputs):
+            assert not np.shares_memory(got, held)
+
+
+@pytest.mark.parametrize("method", ["smrd", "am_fixed", "csgm", "csgm_es", "zero_filled"])
+def test_one_operator_build_per_reconstruction(monkeypatch, method):
+    builds = []
+
+    class Counted(NormalOperator):
+        def __init__(self, fm):
+            builds.append(fm)
+            super().__init__(fm)
+
+    monkeypatch.setattr(sampler, "NormalOperator", Counted)
+    truth, fm, y, prior = small_setup()
+    run_reconstruction(y, fm, prior, SamplerConfig(method=method))
+    assert len(builds) == (0 if method == "zero_filled" else 1)
+    assert all(b is fm for b in builds)
 
 
 # data-consistency update: cg_solve on the zero-filled image A^H y ------
@@ -217,7 +307,7 @@ def test_am_update_inverts_fully_sampled_data():
     fm = ForwardModel(sens=make_synth_coils(h, w, 4, 0), mask=mask)
     truth = make_phantom(PhantomSpec(size=h), 0)
     y = apply_forward(fm, truth)
-    out = cg_solve(fm, 1e-6, apply_adjoint(fm, y), np.zeros_like(truth), 10)
+    out = cg_solve(NormalOperator(fm), 1e-6, apply_adjoint(fm, y), np.zeros_like(truth), 10)
     assert psnr(truth, out) >= 80.0
 
 
@@ -232,8 +322,10 @@ def test_am_update_affine_in_inputs_when_converged():
     p2 = random_complex(rng, (8, 8))
     a, b = 0.6, 0.4
 
+    op = NormalOperator(fm)
+
     def am_update(y, x_plus):
-        return cg_solve(fm, 2.0, apply_adjoint(fm, y), x_plus, 5)
+        return cg_solve(op, 2.0, apply_adjoint(fm, y), x_plus, 5)
 
     lhs = am_update(a * y1 + b * y2, a * p1 + b * p2)
     rhs = a * am_update(y1, p1) + b * am_update(y2, p2)
@@ -246,7 +338,7 @@ def test_normal_equation_residual_small_when_converged():
     x_zf = random_complex(rng, (8, 8))
     x_plus = random_complex(rng, (8, 8))
     lam = 0.7
-    z = cg_solve(fm, lam, x_zf, x_plus, 64)
+    z = cg_solve(NormalOperator(fm), lam, x_zf, x_plus, 64)
     resid = x_zf + lam * x_plus - (apply_adjoint(fm, apply_forward(fm, z)) + lam * z)
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(x_zf + lam * x_plus)
 
@@ -261,7 +353,7 @@ def test_csgm_data_term_vanishes_on_consistent_iterate():
     y = apply_forward(fm, truth)
     prior = ScorePrior(kind="zero")
     zeta = random_complex(np.random.default_rng(0), truth.shape)
-    out = csgm_step(truth, prior, fm, y, 0, zeta)
+    out = csgm_step(truth, prior, NormalOperator(fm).data_term(y), 0, zeta)
     base = langevin_step(truth, prior, 0, zeta)
     assert np.max(np.abs(out - base)) < 1e-10
 
@@ -273,7 +365,7 @@ def test_csgm_scalar_recursion():
     prior = ScorePrior(kind="gaussian", schedule=sched, mean=None, tau2=1.0)
     x = np.array([[2.0 + 0j]])
     y = np.array([[[1.0 + 0j]]])
-    out = csgm_step(x, prior, fm, y, 0, np.zeros((1, 1)))
+    out = csgm_step(x, prior, NormalOperator(fm).data_term(y), 0, np.zeros((1, 1)))
     want = 2.0 + 0.25 * (-1.0 + (1.0 - 2.0))
     assert out[0, 0] == pytest.approx(want)
 
@@ -387,10 +479,11 @@ def test_composite_step_contracts_on_full_mask():
     rng = np.random.default_rng(14)
     x_zf = random_complex(rng, (h, w))
     t = 0
+    op = NormalOperator(fm)
 
     for lam in (0.1, 1.0, 100.0, 1000.0):
         def step(v):
-            return cg_solve(fm, lam, x_zf, langevin_step(v, prior, t, np.zeros((h, w))), 8)
+            return cg_solve(op, lam, x_zf, langevin_step(v, prior, t, np.zeros((h, w))), 8)
 
         origin = step(np.zeros((h, w), dtype=complex))
         v = random_complex(rng, (h, w))
