@@ -7,9 +7,9 @@ Verbs:
     compare       run all five methods, write a comparison table
 
 Every command is a pure function of (config, input files): reruns with the
-same seed produce byte-identical outputs. Exit codes: 0 ok, 2 config error,
-3 I/O error, 4 numerical failure (a run turned non-finite; the message
-names the method and step).
+same seed produce byte-identical outputs for a fixed BLAS thread count.
+Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numerical failure (a run
+turned non-finite; the message names the method and step).
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ def _parse_grid(raw: str, name: str) -> list[float]:
 
 def _load_sim(cfg: ExperimentConfig) -> tuple[np.ndarray, ForwardModel, np.ndarray]:
     """Load the simulated inputs, checked against the config: every file
-    must have the config's shape, coils and k-space must be finite, and
-    the mask must be u8 zeros and ones."""
+    must have the config's shape and hold finite values, and the mask must
+    be u8 zeros and ones."""
     out = Path(cfg.out)
     image = (cfg.size, cfg.size)
     stack = (cfg.coils, *image)
@@ -82,7 +82,7 @@ def _load_sim(cfg: ExperimentConfig) -> tuple[np.ndarray, ForwardModel, np.ndarr
         data = load_tensor(path)
         if data.shape != shape:
             raise TensorFileError(f"{path}: shape {data.shape}, expected {shape} from the config")
-        if name in ("coils", "kspace") and not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(data)):
             raise TensorFileError(f"{path}: contains non-finite values")
         if name == "mask" and (data.dtype != np.uint8 or np.any(data > 1)):
             raise TensorFileError(f"{path}: not a u8 mask of 0s and 1s")

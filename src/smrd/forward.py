@@ -7,9 +7,10 @@ centered orthonormal FFT and a binary k-space sampling mask:
     adjoint(y)    = sum_c conj(sens[c]) * ifft2c(mask * y[c])
 
 `apply_forward` and `apply_adjoint` are the out-of-place reference
-operators. `NormalOperator` prepares the same operator once per
-reconstruction for the solver's repeated in-place applies (natural FFT
-order, shifts only at the boundaries; see its docstring).
+operators. `NormalOperator` prepares their composition A^H A once per
+reconstruction: one in-place apply in natural FFT order, with the
+reference operators' operand order, that both update rules share (see
+its docstring).
 
 Mask generators acquire an optional fully sampled calibration region and
 keep the realized acceleration within 10% of the request. Measurement
@@ -334,30 +335,24 @@ def apply_adjoint(fm: ForwardModel, y: np.ndarray) -> np.ndarray:
 
 
 class NormalOperator:
-    """The operator of one forward model, prepared for in-place applies:
-    `normal` gives (A^H A + lam I) z for the CG solve and `data_term` gives
-    the CSGM data term A^H (y - A x).
+    """The Gram operator A^H A of one forward model, prepared for in-place
+    applies on images in natural FFT order. `cg_solve` adds its `lam z`
+    and the CSGM step forms its data term `x_zf - A^H A x` from it.
 
     The centered-FFT shifts are permutations, and permutations commute
     exactly with elementwise products and the coil sum. So the coil maps,
     their conjugates and the mask are shifted into natural FFT order once,
-    here, and images are shifted only at the boundaries: into natural order
-    before the transforms, back after. Every apply runs in one complex
-    (coils, h, w) work array and allocates only its (h, w) result. The
-    inverse FFT is `ifftn` over the last two axes because numpy 2.4's
-    `ifft2` ignores `out=`. The mask stays bool: each product casts it
-    exactly as the reference operators do, and a complex copy would hold
-    16 bytes per pixel for nothing.
+    here, and callers shift images only at their boundaries. Each apply
+    runs in one complex (coils, h, w) work array and allocates only its
+    (h, w) result. The inverse FFT is `ifftn` over the last two axes
+    because numpy 2.4's `ifft2` ignores `out=`. The mask stays bool: each
+    product casts it exactly as the reference operators do, and a complex
+    copy would hold 16 bytes per pixel for nothing.
 
-    Every product keeps a fixed operand order, because numpy's SIMD complex
-    product is not bitwise commutative: `sens * x`, then `(.) * mask`, in
-    both paths. `data_term` then takes `conj(sens) * (.)`, as
-    `apply_adjoint` does, so it is bitwise equal to the reference
-    operators. `normal` takes `(.) * conj(sens)`: that keeps the solver's
-    outputs byte-identical to its out-of-place form `conj(sens) *
-    ifft2(...)`, which numpy's temporary elision evaluates as
-    `ifft2(...) *= conj(sens)` for coil stacks of 256 KB and more. It
-    matches `apply_adjoint(fm, apply_forward(fm, z)) + lam * z` to rounding.
+    numpy's SIMD complex product is not bitwise commutative, so every
+    product keeps the reference operators' operand order: `sens * x`,
+    `(.) * mask`, then `conj(sens) * (.)`. `gram(v)` is therefore bitwise
+    `ifftshift(apply_adjoint(fm, apply_forward(fm, fftshift(v))))`.
 
     Build one per reconstruction and let it go with the run: it holds three
     coil stacks, and caching them on a `ForwardModel` would keep them
@@ -372,45 +367,16 @@ class NormalOperator:
         self.keep = np.fft.ifftshift(fm.mask.keep, axes=_AXES)
         self.work = np.empty(self.sens.shape, dtype=np.complex128)
 
-    def _forward(self, x_n: np.ndarray) -> np.ndarray:
-        """A x for an image in natural FFT order, left in the work array."""
+    def gram(self, z: np.ndarray) -> np.ndarray:
+        """A^H A z for an image z in natural FFT order; returns a new array
+        in natural order."""
         work = self.work
-        np.multiply(self.sens, x_n, out=work)
+        np.multiply(self.sens, z, out=work)
         np.fft.fft2(work, axes=_AXES, norm="ortho", out=work)
         np.multiply(work, self.keep, out=work)
-        return work
-
-    def normal(self, z: np.ndarray, lam: float) -> np.ndarray:
-        """(A^H A + lam I) z for an image z in natural FFT order; returns a
-        new array in natural order."""
-        work = self._forward(z)
         np.fft.ifftn(work, axes=_AXES, norm="ortho", out=work)
-        np.multiply(work, self.sens_h, out=work)
-        out = np.sum(work, axis=0)
-        out += lam * z
-        return out
-
-    def data_term(self, y: np.ndarray):
-        """The map x -> A^H (y - A x) on centered images, bitwise equal to
-        `apply_adjoint(fm, y - apply_forward(fm, x))`. y is copied into
-        natural order once, here, and held by the returned function."""
-        y = np.asarray(y)
-        if y.shape != self.sens.shape:
-            raise ValueError(f"k-space shape {y.shape} does not match model {self.sens.shape}")
-        y_n = np.fft.ifftshift(y, axes=_AXES)
-
-        def grad(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x)
-            if x.shape != self.shape:
-                raise ValueError(f"image shape {x.shape} does not match model {self.shape}")
-            work = self._forward(np.fft.ifftshift(x, axes=_AXES))
-            np.subtract(y_n, work, out=work)
-            np.multiply(work, self.keep, out=work)
-            np.fft.ifftn(work, axes=_AXES, norm="ortho", out=work)
-            np.multiply(self.sens_h, work, out=work)
-            return np.fft.fftshift(np.sum(work, axis=0), axes=_AXES)
-
-        return grad
+        np.multiply(self.sens_h, work, out=work)
+        return np.sum(work, axis=0)
 
 
 def add_kspace_noise(y: np.ndarray, mask: SamplingMask, spec: NoiseSpec) -> np.ndarray:

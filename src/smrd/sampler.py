@@ -14,15 +14,15 @@ Baselines: `am_fixed` keeps lam constant with no stopping, `csgm` /
 `csgm_es` take a single posterior-score gradient step instead of the inner
 solve, and `zero_filled` returns the adjoint image.
 
-Each reconstruction prepares one `forward.NormalOperator` and runs every
-CG solve and every CSGM data term through it, in natural FFT order and in
-place; the operator goes with the run and is cached nowhere.
+Each reconstruction prepares one `forward.NormalOperator`, whose one
+apply gives A^H A in natural FFT order: every CG solve adds `lam z` to
+it, and every CSGM step forms its data term `x_zf - A^H A x` from it. The
+operator goes with the run and is cached nowhere.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,20 +129,20 @@ def cg_solve(
 
     b = np.fft.ifftshift(x_zf + lam * x_plus, axes=_AXES)
     z = np.fft.ifftshift(np.asarray(x_plus, dtype=np.complex128), axes=_AXES)
-    r = b - op.normal(z, lam)
+    r = b - (op.gram(z) + lam * z)
     p = r.copy()
-    rz = float(np.vdot(r, r).real)
+    rz = norm2(r)
     for _ in range(iters):
         if rz == 0.0:
             break
-        ap = op.normal(p, lam)
+        ap = op.gram(p) + lam * p
         pap = float(np.vdot(p, ap).real)
         if pap <= 0.0:
             break
         alpha = rz / pap
         z = z + alpha * p
         r = r - alpha * ap
-        rz_new = float(np.vdot(r, r).real)
+        rz_new = norm2(r)
         p = r + (rz_new / rz) * p
         rz = rz_new
     return np.fft.fftshift(z, axes=_AXES)
@@ -151,15 +151,20 @@ def cg_solve(
 def csgm_step(
     x: np.ndarray,
     prior: ScorePrior,
-    data_term: Callable[[np.ndarray], np.ndarray],
+    op: NormalOperator,
+    x_zf: np.ndarray,
     t: int,
     zeta: np.ndarray,
 ) -> np.ndarray:
     """Posterior-score Langevin baseline: one gradient step on
-    score + A^H (y - A x), no inner solve. `data_term` is
-    `NormalOperator(fm).data_term(y)`, built once per run."""
+    score + A^H (y - A x), no inner solve. The data term is computed as
+    x_zf - A^H A x, with x_zf = A^H y and `op` prepared from the forward
+    model."""
+    if x.shape != op.shape or x_zf.shape != op.shape:
+        raise ValueError("x / x_zf shapes do not match the forward model")
     et = eta(prior.schedule, t)
-    grad = score(prior, x, t) + data_term(x)
+    gram_x = np.fft.fftshift(op.gram(np.fft.ifftshift(x, axes=_AXES)), axes=_AXES)
+    grad = score(prior, x, t) + (x_zf - gram_x)
     return x + et * grad + math.sqrt(2.0 * et) * zeta
 
 
@@ -199,8 +204,6 @@ def run_reconstruction(
     use_sure = cfg.method in ("smrd", "csgm_es")  # SURE also drives early stopping
     am_path = cfg.method in ("smrd", "am_fixed")
     op = NormalOperator(fm)
-    # only the CSGM methods pay for a natural-order copy of y
-    data_term = None if am_path else op.data_term(y)
 
     x = complex_normal(rng, fm.shape)
     state = TttState(lam=ttt.lambda0)
@@ -223,7 +226,7 @@ def run_reconstruction(
             v_t = x_zf
         else:
             def h(v: np.ndarray, lmb: float) -> np.ndarray:
-                return csgm_step(v, prior, data_term, t, zeta)
+                return csgm_step(v, prior, op, x_zf, t, zeta)
 
             v_t = x
         x_next = h(v_t, lam_t)

@@ -323,13 +323,15 @@ def test_recon_mask_shape_mismatch_is_io_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name, method", [("kspace", "smrd"), ("kspace", "am_fixed"), ("coils", "smrd")]
+    "name, method",
+    [("kspace", "smrd"), ("kspace", "am_fixed"), ("coils", "smrd"),
+     ("truth", "smrd"), ("truth", "zero_filled")],
 )
 def test_recon_nonfinite_input_is_io_error(tmp_path, capsys, name, method):
     out = tmp_path / "sim"
     run_cli("simulate", *FAST, "--sigma", "0.02", "--out", out)
     data = load_tensor(out / f"{name}.smrd")
-    data[0, 0, 0] = np.nan
+    data.flat[0] = np.nan
     save_tensor(out / f"{name}.smrd", data)
     assert run_cli("recon", *FAST, "--sigma", "0.02", "--method", method,
                    "--out", out) == EXIT_IO

@@ -142,15 +142,31 @@ CG_MODELS = {
     "random_15x17x3": _odd_random_mask_model,
 }
 
+# the bitwise guards also run at the largest benchmark size
+BITWISE_MODELS = {
+    **CG_MODELS,
+    "poisson_128x128x4": lambda: ForwardModel(
+        sens=make_synth_coils(128, 128, 4, 0), mask=make_poisson_disc_mask(128, 128, 4.0, 16, 1)),
+}
+
+
+def _shift(v):
+    return np.fft.fftshift(v, axes=(-2, -1))
+
+
+def _unshift(v):
+    return np.fft.ifftshift(v, axes=(-2, -1))
+
 
 def reference_cg(fm, lam, x_zf, x_plus, iters):
     """Textbook CG on (A^H A + lam I) z = x_zf + lam x_plus from z0 = x_plus,
-    built from the public out-of-place operators."""
+    built from the public out-of-place operators and run in natural FFT
+    order, where `cg_solve` takes its inner products."""
     def normal(v):
-        return apply_adjoint(fm, apply_forward(fm, v)) + lam * v
+        return _unshift(apply_adjoint(fm, apply_forward(fm, _shift(v))) + lam * _shift(v))
 
-    z = x_plus.copy()
-    r = x_zf + lam * x_plus - normal(z)
+    z = _unshift(x_plus.astype(complex))
+    r = _unshift(x_zf + lam * x_plus) - normal(z)
     p = r.copy()
     rz = np.vdot(r, r).real
     for _ in range(iters):
@@ -161,7 +177,7 @@ def reference_cg(fm, lam, x_zf, x_plus, iters):
         rz_new = np.vdot(r, r).real
         p = r + (rz_new / rz) * p
         rz = rz_new
-    return z
+    return _shift(z)
 
 
 @pytest.mark.parametrize("name", sorted(CG_MODELS))
@@ -172,7 +188,19 @@ def test_cg_one_iteration_matches_reference_step(name):
     x_plus = random_complex(rng, fm.shape)
     want = reference_cg(fm, 0.8, x_zf, x_plus, 1)
     got = cg_solve(NormalOperator(fm), 0.8, x_zf, x_plus, 1)
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_MODELS))
+def test_cg_is_bitwise_the_natural_order_reference(name):
+    fm = BITWISE_MODELS[name]()
+    rng = np.random.default_rng(19)
+    x_zf = random_complex(rng, fm.shape)
+    x_plus = random_complex(rng, fm.shape)
+    op = NormalOperator(fm)
+    for lam in (0.5, 4.0):
+        assert np.array_equal(cg_solve(op, lam, x_zf, x_plus, 5),
+                              reference_cg(fm, lam, x_zf, x_plus, 5))
 
 
 @pytest.mark.parametrize("iters", [0, 1, 3])
@@ -203,8 +231,7 @@ def test_cg_interleaved_calls_match_fresh_calls():
     for cell in reversed(cells):
         got = cg_solve(ops[cell[0]], cell[1], x_zf, x_plus, 5)
         assert np.array_equal(got, fresh[cell])
-        want = reference_cg(fms[cell[0]], cell[1], x_zf, x_plus, 5)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(got, reference_cg(fms[cell[0]], cell[1], x_zf, x_plus, 5))
 
 
 def test_cg_rejects_nonpositive_lambda():
@@ -223,7 +250,7 @@ def test_cg_rejects_negative_iters():
         cg_solve(op, 1.0, z, z, -3)
 
 
-# the prepared operator, shared by cg_solve and the CSGM data term -----
+# the prepared operator, shared by cg_solve and csgm_step -------------
 
 def _operator_inputs(fm, seed):
     rng = np.random.default_rng(seed)
@@ -232,39 +259,50 @@ def _operator_inputs(fm, seed):
     return x, y, random_complex(rng, fm.shape), random_complex(rng, fm.shape)
 
 
-@pytest.mark.parametrize("name", sorted(CG_MODELS))
-def test_data_term_is_bitwise_the_reference_operators(name):
-    fm = CG_MODELS[name]()
-    x, y, _, _ = _operator_inputs(fm, 15)
-    got = NormalOperator(fm).data_term(y)(x)
-    assert np.array_equal(got, apply_adjoint(fm, y - apply_forward(fm, x)))
+@pytest.mark.parametrize("name", sorted(BITWISE_MODELS))
+def test_gram_is_bitwise_the_shifted_reference_composition(name):
+    fm = BITWISE_MODELS[name]()
+    x, _, _, _ = _operator_inputs(fm, 15)
+    got = NormalOperator(fm).gram(_unshift(x))
+    assert np.array_equal(got, _unshift(apply_adjoint(fm, apply_forward(fm, x))))
 
 
-@pytest.mark.parametrize("name", sorted(CG_MODELS))
+@pytest.mark.parametrize("name", sorted(BITWISE_MODELS))
 def test_csgm_step_is_bitwise_the_reference_formula(name):
-    fm = CG_MODELS[name]()
+    fm = BITWISE_MODELS[name]()
     x, y, zeta, _ = _operator_inputs(fm, 16)
+    x_zf = apply_adjoint(fm, y)
     prior = ScorePrior(kind="gaussian", mean=None, tau2=1.0)
     t = 7
     et = eta(prior.schedule, t)
-    grad = score(prior, x, t) + apply_adjoint(fm, y - apply_forward(fm, x))
+    grad = score(prior, x, t) + (x_zf - apply_adjoint(fm, apply_forward(fm, x)))
     want = x + et * grad + math.sqrt(2.0 * et) * zeta
-    got = csgm_step(x, prior, NormalOperator(fm).data_term(y), t, zeta)
+    got = csgm_step(x, prior, NormalOperator(fm), x_zf, t, zeta)
     assert np.array_equal(got, want)
+
+
+def test_csgm_step_rejects_mismatched_shapes():
+    op = NormalOperator(unit_model(4, 4))
+    prior = ScorePrior(kind="zero")
+    z = np.zeros((4, 4), dtype=complex)
+    for x, x_zf in ((z[:1], z), (z, z[:, :1])):
+        with pytest.raises(ValueError):
+            csgm_step(x, prior, op, x_zf, 0, z)
 
 
 @pytest.mark.parametrize("name", sorted(CG_MODELS))
 def test_one_operator_serves_interleaved_solves_and_data_terms(name):
     fm = CG_MODELS[name]()
-    x, y, x_zf, x_plus = _operator_inputs(fm, 17)
+    x, _, x_zf, x_plus = _operator_inputs(fm, 17)
+    prior = ScorePrior(kind="gaussian", mean=None, tau2=1.0)
+    zeta = np.zeros(fm.shape, dtype=complex)
     op = NormalOperator(fm)
-    data_term = op.data_term(y)
     for lam in (0.5, 4.0, 0.5):
         got = cg_solve(op, lam, x_zf, x_plus, 5)
         assert np.array_equal(got, cg_solve(NormalOperator(fm), lam, x_zf, x_plus, 5))
-        want = reference_cg(fm, lam, x_zf, x_plus, 5)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        assert np.array_equal(data_term(x), NormalOperator(fm).data_term(y)(x))
+        assert np.array_equal(got, reference_cg(fm, lam, x_zf, x_plus, 5))
+        assert np.array_equal(csgm_step(x, prior, op, x_zf, 7, zeta),
+                              csgm_step(x, prior, NormalOperator(fm), x_zf, 7, zeta))
 
 
 @pytest.mark.parametrize("name", sorted(CG_MODELS))
@@ -274,8 +312,10 @@ def test_operator_leaves_inputs_alone_and_returns_its_own_arrays(name):
     inputs = (fm.sens, fm.mask.keep, y, x_zf, x_plus, x)
     before = [a.copy() for a in inputs]
     op = NormalOperator(fm)
+    prior = ScorePrior(kind="gaussian", mean=None, tau2=1.0)
     results = [cg_solve(op, 1.5, x_zf, x_plus, k) for k in (0, 3)]
-    results.append(op.data_term(y)(x))
+    results.append(op.gram(x))
+    results.append(csgm_step(x, prior, op, x_zf, 7, x_plus))
     for a, b in zip(before, inputs):
         assert np.array_equal(a, b)
     for got in results:
@@ -353,9 +393,8 @@ def test_csgm_data_term_vanishes_on_consistent_iterate():
     y = apply_forward(fm, truth)
     prior = ScorePrior(kind="zero")
     zeta = random_complex(np.random.default_rng(0), truth.shape)
-    out = csgm_step(truth, prior, NormalOperator(fm).data_term(y), 0, zeta)
-    base = langevin_step(truth, prior, 0, zeta)
-    assert np.max(np.abs(out - base)) < 1e-10
+    out = csgm_step(truth, prior, NormalOperator(fm), apply_adjoint(fm, y), 0, zeta)
+    assert np.array_equal(out, langevin_step(truth, prior, 0, zeta))
 
 
 def test_csgm_scalar_recursion():
@@ -365,7 +404,7 @@ def test_csgm_scalar_recursion():
     prior = ScorePrior(kind="gaussian", schedule=sched, mean=None, tau2=1.0)
     x = np.array([[2.0 + 0j]])
     y = np.array([[[1.0 + 0j]]])
-    out = csgm_step(x, prior, NormalOperator(fm).data_term(y), 0, np.zeros((1, 1)))
+    out = csgm_step(x, prior, NormalOperator(fm), apply_adjoint(fm, y), 0, np.zeros((1, 1)))
     want = 2.0 + 0.25 * (-1.0 + (1.0 - 2.0))
     assert out[0, 0] == pytest.approx(want)
 
