@@ -1,10 +1,12 @@
 """Experiment configuration: a flat key=value format, seed derivation and
 builders that assemble the pipeline pieces from one config.
 
-The file format is one `key = value` pair per line with `#` comments;
-unknown keys are rejected so stale configs fail loudly. Every command's
-randomness funnels through the single `seed` field, with sub-streams
-derived by hashing (seed, purpose label).
+The file format is one `key = value` pair per line. A `#` at the start
+of a line or after whitespace starts a comment, so `out = runs/exp#3`
+keeps its `#` and `accel = 8  # R` reads 8; a value cannot hold a `#`
+after whitespace. Unknown keys are rejected so stale configs fail
+loudly. Every command's randomness funnels through the single `seed`
+field, with sub-streams derived by hashing (seed, purpose label).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,7 +28,7 @@ from .sure import EarlyStopConfig, SureConfig, TttConfig
 
 MASK_KINDS = ("equispaced", "poisson")
 # each prior setting and the ScorePrior kind it builds: a gaussian centered
-# on the truth, the blurred truth or zero, or no prior (tau2 unused, still positive)
+# on the truth, the blurred truth or zero, or no prior
 PRIOR_KIND = {"truth": "gaussian", "smoothed_truth": "gaussian", "zero_mean": "gaussian",
               "none": "zero"}
 PRIORS = tuple(PRIOR_KIND)
@@ -56,7 +59,6 @@ class ExperimentConfig:
     # data
     phantom: str = "shepp_logan"
     size: int = 64
-    phase: str = "none"
     coils: int = 4
     mask: str = "equispaced"
     accel: float = 4.0
@@ -64,21 +66,12 @@ class ExperimentConfig:
     sigma: float = 0.0
     # prior
     prior: str = "truth"  # one of PRIORS
-    tau2: float = 1e-5
     levels: int = 30
     steps: int = 300  # a multiple of levels; each level runs steps // levels
-    beta_min: float = 0.003
-    beta_max: float = 1.0
     eps0: float = 1.8e-6
     # sampler / controller
     method: str = "smrd"
-    cg_iters: int = 5
     lambda0: float = 2.0
-    alpha: float = 0.2
-    freeze_fraction: float = 0.43
-    window: int = 0  # 0 = auto (0.14 * steps)
-    probes: int = 1
-    eps_rel: float = 1e-3
     # run
     seed: int = 0
     out: str = "out"
@@ -134,13 +127,16 @@ def _convert(name: str, kind: type, raw: str):
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Apply the `key = value` lines of `text` to the defaults. Only parses:
     unknown keys and unparsable values raise ConfigError, and the caller
     gates the finished config with validate()."""
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -161,7 +157,7 @@ def load_config(path) -> ExperimentConfig:
 # pipeline assembly -----------------------------------------------------------
 
 def _phantom_spec(cfg: ExperimentConfig) -> PhantomSpec:
-    return PhantomSpec(kind=cfg.phantom, size=cfg.size, phase=cfg.phase)
+    return PhantomSpec(kind=cfg.phantom, size=cfg.size)
 
 
 def build_phantom(cfg: ExperimentConfig) -> np.ndarray:
@@ -189,11 +185,8 @@ def _score_prior(cfg: ExperimentConfig, mean: np.ndarray | None = None) -> Score
     if cfg.levels < 1 or cfg.steps < 1 or cfg.steps % cfg.levels:
         raise ValueError("steps must be a positive multiple of levels >= 1, "
                          f"got steps={cfg.steps}, levels={cfg.levels}")
-    schedule = NoiseSchedule(
-        levels=cfg.levels, beta_max=cfg.beta_max, beta_min=cfg.beta_min,
-        steps_per_level=cfg.steps // cfg.levels, eps0=cfg.eps0,
-    )
-    return ScorePrior(kind=PRIOR_KIND[cfg.prior], schedule=schedule, mean=mean, tau2=cfg.tau2)
+    schedule = NoiseSchedule(levels=cfg.levels, steps_per_level=cfg.steps // cfg.levels, eps0=cfg.eps0)
+    return ScorePrior(kind=PRIOR_KIND[cfg.prior], schedule=schedule, mean=mean)
 
 
 def build_prior(cfg: ExperimentConfig, truth: np.ndarray | None) -> ScorePrior:
@@ -207,17 +200,10 @@ def build_prior(cfg: ExperimentConfig, truth: np.ndarray | None) -> ScorePrior:
 
 def build_sampler_config(cfg: ExperimentConfig, method: str | None = None) -> SamplerConfig:
     chosen = method or cfg.method
-    return SamplerConfig(
-        method=chosen,
-        cg_iters=cfg.cg_iters,
-        seed=derive_seed(cfg.seed, f"recon:{chosen}"),
-    )
+    return SamplerConfig(method=chosen, seed=derive_seed(cfg.seed, f"recon:{chosen}"))
 
 
 def build_controller_configs(
     cfg: ExperimentConfig,
 ) -> tuple[TttConfig, EarlyStopConfig, SureConfig]:
-    ttt = TttConfig(lambda0=cfg.lambda0, alpha=cfg.alpha, freeze_fraction=cfg.freeze_fraction)
-    es = EarlyStopConfig(window=cfg.window)
-    sure_cfg = SureConfig(eps_rel=cfg.eps_rel, probes=cfg.probes)
-    return ttt, es, sure_cfg
+    return TttConfig(lambda0=cfg.lambda0), EarlyStopConfig(), SureConfig()

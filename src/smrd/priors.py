@@ -32,9 +32,9 @@ class NoiseSchedule:
 
     levels: int = 30
     beta_max: float = 1.0
-    beta_min: float = 0.01
+    beta_min: float = 0.003
     steps_per_level: int = 10
-    eps0: float = 2e-5
+    eps0: float = 1.8e-6
 
     def __post_init__(self) -> None:
         if self.levels < 1 or self.steps_per_level < 1:
@@ -88,7 +88,7 @@ class ScorePrior:
     kind: str = "gaussian"
     schedule: NoiseSchedule = NoiseSchedule()
     mean: np.ndarray | None = None  # gaussian: prior mean image (None = zero)
-    tau2: float = 1.0               # gaussian: prior variance (positive under every kind)
+    tau2: float = 1e-5              # gaussian: prior variance (positive under every kind)
 
     def __post_init__(self) -> None:
         if self.kind not in PRIOR_KINDS:

@@ -44,6 +44,7 @@ from .sure import (
 )
 from .tensorfile import atomic_write
 
+CG_ITERS = 5  # CG iterations per data-consistency solve
 METHODS = ("smrd", "am_fixed", "csgm", "csgm_es", "zero_filled")
 
 _AXES = (-2, -1)
@@ -54,14 +55,11 @@ class SamplerConfig:
     """Reconstruction driver settings."""
 
     method: str = "smrd"
-    cg_iters: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.cg_iters < 1:
-            raise ValueError("cg_iters must be >= 1")
 
 
 @dataclass
@@ -221,7 +219,7 @@ def run_reconstruction(
             # iterate frozen: truncating the recursion through x_t leaves
             # only this step's explicit dependence on x_zf.
             def h(v: np.ndarray, lmb: float) -> np.ndarray:
-                return cg_solve(op, lmb, v, x_plus, cfg.cg_iters)
+                return cg_solve(op, lmb, v, x_plus, CG_ITERS)
 
             v_t = x_zf
         else:
@@ -240,7 +238,7 @@ def run_reconstruction(
         if use_ttt and t < freeze:
             grad = grad_sure_lambda(h, x_zf, x_zf, lam_t, sure_cfg, rng)
             _require_finite(grad, "lambda gradient", cfg.method, t)
-            update_lambda(state, grad, ttt)
+            update_lambda(state, grad)
 
         if truth is not None:
             mse = float(np.mean(np.abs(x_next - truth) ** 2))

@@ -6,11 +6,12 @@ The running loss is the variance-free form
     SURE(t) = ||h(x_t, lam) - x_zf||^2 / (N * eps)
               * Re<mu, h(x_t + eps*mu, lam) - h(x_t, lam)>
 
-with one (configurable) standard complex normal probe mu per step
-(E|mu_i|^2 = 1, so the probe term is an unbiased estimate of Re tr of the
-update's Jacobian). `h` must be deterministic for the duration of a call:
-the caller freezes the Langevin noise so both evaluations walk the same
-path and the difference isolates the probe.
+with eps = EPS_REL * max|x_t|, averaged over `SureConfig.probes` standard
+complex normal probes mu per step (one in the sampler; E|mu_i|^2 = 1, so
+the probe term is an unbiased estimate of Re tr of the update's
+Jacobian). `h` must be deterministic for the duration of a call: the
+caller freezes the Langevin noise so both evaluations walk the same path
+and the difference isolates the probe.
 
 `sure_known_sigma` is the known-variance form kept for unbiasedness
 oracles; it is not used by the sampling loop. Its conventions: sigma^2 is
@@ -30,6 +31,9 @@ from .fourier import complex_normal, norm2
 
 LAMBDA_MIN = 1e-4
 LAMBDA_MAX = 1e4
+ALPHA = 0.2  # Adam step size on lambda
+FREEZE_FRACTION = 0.43  # no lambda updates from ceil(FREEZE_FRACTION * T) on
+EPS_REL = 1e-3  # probe scale relative to max |x_t|
 EPS_FLOOR = 1e-8  # absolute floor on the probe scale, keeps eps > 0 on tiny iterates
 # Adam's constants (Kingma & Ba, ICLR 2015)
 ADAM_BETA1 = 0.9
@@ -45,14 +49,11 @@ class NumericalError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SureConfig:
-    """Probe policy for Monte-Carlo SURE."""
+    """Probe count for Monte-Carlo SURE."""
 
-    eps_rel: float = 1e-3  # perturbation scale relative to max |x_t|
     probes: int = 1
 
     def __post_init__(self) -> None:
-        if self.eps_rel <= 0:
-            raise ValueError("eps_rel must be positive")
         if self.probes < 1:
             raise ValueError("probes must be >= 1")
 
@@ -62,17 +63,13 @@ class TttConfig:
     """Test-time tuning of the regularization weight lambda."""
 
     lambda0: float = 2.0
-    alpha: float = 0.2
-    freeze_fraction: float = 0.43  # no lambda updates from ceil(frac * T) on
 
     def __post_init__(self) -> None:
-        if self.lambda0 <= 0 or self.alpha <= 0:
-            raise ValueError("lambda0 and alpha must be positive")
-        if not 0 < self.freeze_fraction <= 1:
-            raise ValueError("freeze_fraction must be in (0, 1]")
+        if self.lambda0 <= 0:
+            raise ValueError("lambda0 must be positive")
 
     def freeze_step(self, total_steps: int) -> int:
-        return _ceil_fraction(self.freeze_fraction, total_steps)
+        return _ceil_fraction(FREEZE_FRACTION, total_steps)
 
 
 @dataclass(frozen=True)
@@ -112,8 +109,8 @@ def draw_probe(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return math.sqrt(0.5) * complex_normal(rng, shape)
 
 
-def perturbation_scale(cfg: SureConfig, x: np.ndarray) -> float:
-    eps = max(cfg.eps_rel * float(np.max(np.abs(x))), EPS_FLOOR)
+def perturbation_scale(x: np.ndarray) -> float:
+    eps = max(EPS_REL * float(np.max(np.abs(x))), EPS_FLOOR)
     if not np.isfinite(eps):
         raise NumericalError(f"degenerate perturbation scale {eps}")
     return eps
@@ -124,7 +121,7 @@ def _probe_evaluator(
 ) -> Callable[..., float]:
     """Draw one probe set at x_t and return `sure_at(lam, h0=None)`, the
     variance-free SURE of h at (x_t, lam) averaged over those probes."""
-    eps = perturbation_scale(cfg, x_t)
+    eps = perturbation_scale(x_t)
     mus = [draw_probe(rng, x_t.shape) for _ in range(cfg.probes)]
     n = x_t.size
 
@@ -196,8 +193,8 @@ def grad_sure_lambda(
     return (sure_at(hi) - sure_at(lo)) / (2.0 * delta)
 
 
-def update_lambda(state: TttState, grad: float, cfg: TttConfig) -> TttState:
-    """One adaptive-moment descent step on lambda, clamped to
+def update_lambda(state: TttState, grad: float) -> TttState:
+    """One adaptive-moment descent step of size ALPHA on lambda, clamped to
     [LAMBDA_MIN, LAMBDA_MAX]. Mutates and returns `state`; a non-finite
     gradient raises NumericalError and leaves `state` untouched.
     """
@@ -209,7 +206,7 @@ def update_lambda(state: TttState, grad: float, cfg: TttConfig) -> TttState:
     state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
     m_hat = state.m / (1.0 - ADAM_BETA1**k)
     v_hat = state.v / (1.0 - ADAM_BETA2**k)
-    state.lam -= cfg.alpha * m_hat / (math.sqrt(v_hat) + ADAM_EPS)
+    state.lam -= ALPHA * m_hat / (math.sqrt(v_hat) + ADAM_EPS)
     state.lam = min(max(state.lam, LAMBDA_MIN), LAMBDA_MAX)
     return state
 

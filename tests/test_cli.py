@@ -199,11 +199,11 @@ def test_config_file_plus_flag_overrides(tmp_path):
 def test_flags_can_mend_a_config_file(tmp_path):
     # the gate runs once, on the file merged with the flags
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("alpha = 0\n")
+    cfg_path.write_text("lambda0 = 0\n")
     out = tmp_path / "sim"
     assert run_cli("simulate", *FAST, "--config", cfg_path, "--out", out) == EXIT_CONFIG
     assert not out.exists()
-    assert run_cli("simulate", *FAST, "--config", cfg_path, "--alpha", "1",
+    assert run_cli("simulate", *FAST, "--config", cfg_path, "--lambda0", "1",
                    "--out", out) == EXIT_OK
 
 
@@ -356,9 +356,8 @@ def test_module_runs_as_a_script(tmp_path):
 # a valid non-default value for each text field and for the numeric fields
 # whose default + 1 is out of range; other numeric fields use default + 1
 NON_DEFAULT = {
-    "phantom": "blob_grid", "phase": "smooth", "mask": "poisson", "prior": "none",
-    "method": "am_fixed", "out": "elsewhere",
-    "beta_min": 0.01, "freeze_fraction": 0.5, "levels": 60, "steps": 600,
+    "phantom": "blob_grid", "mask": "poisson", "prior": "none",
+    "method": "am_fixed", "out": "elsewhere", "levels": 60, "steps": 600,
 }
 
 
@@ -373,7 +372,7 @@ def test_every_config_field_has_a_typed_flag(field):
     assert got == value
 
 
-@pytest.mark.parametrize("flag", ["--phantom", "--phase", "--mask", "--prior", "--method"])
+@pytest.mark.parametrize("flag", ["--phantom", "--mask", "--prior", "--method"])
 def test_bad_kind_value_is_config_error(tmp_path, flag):
     assert run_cli("simulate", *FAST, flag, "nope", "--out", tmp_path) == EXIT_CONFIG
 
@@ -387,13 +386,19 @@ def exit_code(*args):
 
 def test_removed_settings_are_rejected(tmp_path):
     # no old spelling comes back, with its old meaning or a new one
+    # the controller's constants, the schedule's ends, tau2 and phase are fixed
+    fixed = {"phase": "smooth", "tau2": "1e-5", "beta_min": "0.003", "beta_max": "1.0",
+             "cg_iters": "5", "alpha": "0.2", "freeze_fraction": "0.43", "window": "0",
+             "probes": "1", "eps_rel": "1e-3"}
     out = tmp_path / "sim"
     for flags in (["--prior", "smoothness"], ["--prior", "gaussian"], ["--prior", "zero"],
                   ["--prior-mean", "zero"], ["--steps-per-level", "3"], ["--dc-weight", "1"],
-                  ["--gamma", "1"], ["--mean-blur", "1"], ["--acs-fraction", "1"]):
+                  ["--gamma", "1"], ["--mean-blur", "1"], ["--acs-fraction", "1"],
+                  *([f"--{name.replace('_', '-')}", value] for name, value in fixed.items())):
         assert exit_code("simulate", *FAST, *flags, "--out", out) == EXIT_CONFIG, flags
     cfg_path = tmp_path / "old.cfg"
-    for line in ("prior_mean = zero", "steps_per_level = 3"):
+    for line in ("prior_mean = zero", "steps_per_level = 3",
+                 *(f"{name} = {value}" for name, value in fixed.items())):
         cfg_path.write_text(line + "\n")
         assert exit_code("simulate", *FAST, "--config", cfg_path, "--out", out) == EXIT_CONFIG
     assert not out.exists()
@@ -434,11 +439,9 @@ def test_levels_must_divide_default_steps(tmp_path, capsys, where):
 # one rejected value per field; every other field is listed as unconstrained,
 # so a new field cannot skip the gate
 REJECTED = {
-    "phantom": "nope", "size": 8, "phase": "nope", "coils": 0, "mask": "radial",
-    "accel": 0.5, "sigma": -0.5, "prior": "nope", "tau2": -1.0, "levels": 0,
-    "steps": 0, "beta_min": 2.0, "beta_max": 0.001, "eps0": 0.0,
-    "method": "nope", "cg_iters": 0, "lambda0": 0.0, "alpha": 0.0,
-    "freeze_fraction": 2.0, "window": -1, "probes": 0, "eps_rel": -1.0, "calib": 999,
+    "phantom": "nope", "size": 8, "coils": 0, "mask": "radial", "accel": 0.5,
+    "sigma": -0.5, "prior": "nope", "levels": 0, "steps": 0, "eps0": 0.0,
+    "method": "nope", "lambda0": 0.0, "calib": 999,
 }
 UNCONSTRAINED = {"seed", "out"}
 
@@ -469,7 +472,7 @@ def test_rejected_value_exits_before_any_read(tmp_path, name):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--prior", "none", "--tau2", "-1"],
+    ["--method", "zero_filled", "--lambda0", "0"],
     ["--mask", "equispaced", "--calib", "-1"],
     ["--mask", "poisson", "--calib", "33"],
 ])

@@ -6,12 +6,16 @@ import pytest
 from smrd.config import (
     ConfigError,
     ExperimentConfig,
+    build_controller_configs,
     build_mask,
+    build_prior,
     derive_seed,
     load_config,
     parse_config_text,
 )
 from smrd.forward import make_equispaced_mask
+from smrd.priors import NoiseSchedule, ScorePrior
+from smrd.sure import EarlyStopConfig, SureConfig, TttConfig
 
 
 def test_round_trip_through_flat_format(tmp_path):
@@ -38,6 +42,14 @@ def test_comments_and_blank_lines_ok():
     assert cfg.accel == 8.0
 
 
+def test_hash_inside_a_value_is_kept():
+    # a `#` starts a comment only at the start of a line or after whitespace
+    cfg = parse_config_text("out = runs/exp#3\naccel = 8\t# R\n  # sigma = 1\n")
+    assert cfg.out == "runs/exp#3"
+    assert cfg.accel == 8.0 and cfg.sigma == 0.0
+    assert parse_config_text(cfg.to_text()) == cfg
+
+
 def test_validation_catches_bad_enums():
     with pytest.raises(ConfigError):
         parse_config_text("mask = radial\n").validate()
@@ -59,6 +71,14 @@ def test_derive_seed_stable_and_label_sensitive():
     assert derive_seed(3, "mask") == derive_seed(3, "mask")
     assert derive_seed(3, "mask") != derive_seed(3, "noise")
     assert derive_seed(3, "mask") != derive_seed(4, "mask")
+
+
+def test_library_defaults_are_the_clis():
+    cfg = ExperimentConfig()
+    prior = build_prior(cfg, np.zeros((cfg.size, cfg.size), dtype=complex))
+    assert prior.schedule == NoiseSchedule()
+    assert prior.tau2 == ScorePrior().tau2
+    assert build_controller_configs(cfg) == (TttConfig(), EarlyStopConfig(), SureConfig())
 
 
 def test_every_field_survives_text_round_trip():

@@ -537,5 +537,3 @@ def test_composite_step_contracts_on_full_mask():
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(method="nope")
-    with pytest.raises(ValueError):
-        SamplerConfig(cg_iters=0)

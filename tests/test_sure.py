@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from smrd.fourier import norm2
 from smrd.sure import (
+    ALPHA,
     LAMBDA_MAX,
     LAMBDA_MIN,
     EarlyStopConfig,
@@ -211,26 +212,24 @@ def test_grad_one_sided_at_bounds():
 
 def test_update_lambda_zero_grad_noop():
     state = TttState(lam=2.0)
-    update_lambda(state, 0.0, TttConfig())
+    update_lambda(state, 0.0)
     assert state.lam == 2.0
 
 
 def test_update_lambda_first_adam_step():
-    cfg = TttConfig(lambda0=2.0, alpha=0.2)
     state = TttState(lam=2.0)
-    update_lambda(state, 1.0, cfg)
-    want = 2.0 - 0.2 * 1.0 / (1.0 + 1e-8)  # bias-corrected first step
+    update_lambda(state, 1.0)
+    want = 2.0 - ALPHA * 1.0 / (1.0 + 1e-8)  # bias-corrected first step
     assert state.lam == pytest.approx(want, abs=1e-6)
 
 
 def test_update_lambda_clamps():
-    # each step moves lambda by ~alpha against the gradient's sign
-    cfg = TttConfig(alpha=0.2)
+    # each step moves lambda by ~ALPHA against the gradient's sign
     low = TttState(lam=LAMBDA_MIN + 0.5)
     high = TttState(lam=LAMBDA_MAX - 0.5)
     for _ in range(10):
-        update_lambda(low, 1.0, cfg)
-        update_lambda(high, -1.0, cfg)
+        update_lambda(low, 1.0)
+        update_lambda(high, -1.0)
     assert low.lam == LAMBDA_MIN
     assert high.lam == LAMBDA_MAX
 
@@ -239,7 +238,7 @@ def test_update_lambda_clamps():
 def test_update_lambda_rejects_nonfinite_grad(grad):
     state = TttState(lam=2.0)
     with pytest.raises(NumericalError):
-        update_lambda(state, grad, TttConfig())
+        update_lambda(state, grad)
     assert (state.lam, state.m, state.v, state.steps_taken) == (2.0, 0.0, 0.0, 0)
 
 
@@ -306,9 +305,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SureConfig(probes=0)
     with pytest.raises(ValueError):
-        TttConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        TttConfig(freeze_fraction=0.0)
+        TttConfig(lambda0=0.0)
     with pytest.raises(ValueError):
         EarlyStopConfig(window=-1)
     assert EarlyStopConfig().resolve_window(300) == 42
