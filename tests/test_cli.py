@@ -444,15 +444,22 @@ REJECTED = {
     "method": "nope", "lambda0": 0.0, "calib": 999,
 }
 UNCONSTRAINED = {"seed", "out"}
+# the settings that became constants, each with the value the gate rejected
+# while it was a field: an old command line that still passes one is refused
+REMOVED = {
+    "phase": "nope", "tau2": -1.0, "beta_min": 2.0, "beta_max": 0.001, "cg_iters": 0,
+    "alpha": 0.0, "freeze_fraction": 2.0, "window": -1, "probes": 0, "eps_rel": -1.0,
+}
 
 
 def rejected_flags(name):
-    return [f"--{name.replace('_', '-')}", REJECTED[name]]
+    return [f"--{name.replace('_', '-')}", (REJECTED | REMOVED)[name]]
 
 
 def test_gate_table_covers_every_field():
     assert set(REJECTED) | UNCONSTRAINED == set(FIELD_TYPES)
     assert not set(REJECTED) & UNCONSTRAINED
+    assert not set(REMOVED) & set(FIELD_TYPES)
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED))
@@ -464,10 +471,11 @@ def test_rejected_value_exits_before_any_output(tmp_path, capsys, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", sorted(REJECTED))
+@pytest.mark.parametrize("name", sorted(REJECTED | REMOVED))
 def test_rejected_value_exits_before_any_read(tmp_path, name):
-    # a missing input would be an I/O error (3); the gate runs first
-    code = run_cli("recon", *FAST, *rejected_flags(name), "--out", tmp_path / "empty")
+    # a missing input would be an I/O error (3); the gate runs first, and
+    # argparse refuses a removed setting's flag before that
+    code = exit_code("recon", *FAST, *rejected_flags(name), "--out", tmp_path / "empty")
     assert code == EXIT_CONFIG
 
 
