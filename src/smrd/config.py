@@ -22,17 +22,12 @@ import numpy as np
 
 from .forward import ForwardModel, NoiseSpec, SamplingMask, make_equispaced_mask, make_poisson_disc_mask
 from .phantom import PhantomSpec, make_phantom, make_synth_coils
-from .priors import NoiseSchedule, ScorePrior, gaussian_blur
+from .priors import NoiseSchedule, ScorePrior
 from .sampler import SamplerConfig
 from .sure import EarlyStopConfig, SureConfig, TttConfig
 
 MASK_KINDS = ("equispaced", "poisson")
-# each prior setting and the ScorePrior kind it builds: a gaussian centered
-# on the truth, the blurred truth or zero, or no prior
-PRIOR_KIND = {"truth": "gaussian", "smoothed_truth": "gaussian", "zero_mean": "gaussian",
-              "none": "zero"}
-PRIORS = tuple(PRIOR_KIND)
-SMOOTHED_MEAN_BLUR_PX = 2.0  # blur std of the smoothed_truth prior mean
+PRIORS = ("truth", "none")  # a Gaussian centered on the truth, or no prior
 
 
 class ConfigError(ValueError):
@@ -79,7 +74,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """The one gate, run before any file is read or written. Its own
         rules: finite floats, a known `mask` and `prior`, coils >= 1,
-        accel >= 1 and 0 <= calib <= size under every mask. Every other
+        accel >= 1, 0 <= calib <= size under every mask, and an `out` that
+        reads back unchanged from its config-file line. Every other
         rule is a component's own and runs by building that component's
         spec; its ValueError is re-raised as ConfigError."""
         for name, kind in FIELD_TYPES.items():
@@ -104,6 +100,12 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if not 0 <= self.calib <= self.size:
             raise ConfigError(f"calib must be in [0, size={self.size}], got {self.calib}")
+        try:
+            same = parse_config_text(f"out = {self.out}").out == self.out
+        except ConfigError:
+            same = False
+        if not same:
+            raise ConfigError(f"out {self.out!r} does not read back from a config file")
         return self
 
     def replace(self, **overrides) -> "ExperimentConfig":
@@ -186,16 +188,15 @@ def _score_prior(cfg: ExperimentConfig, mean: np.ndarray | None = None) -> Score
         raise ValueError("steps must be a positive multiple of levels >= 1, "
                          f"got steps={cfg.steps}, levels={cfg.levels}")
     schedule = NoiseSchedule(levels=cfg.levels, steps_per_level=cfg.steps // cfg.levels, eps0=cfg.eps0)
-    return ScorePrior(kind=PRIOR_KIND[cfg.prior], schedule=schedule, mean=mean)
+    return ScorePrior(schedule=schedule, mean=mean)
 
 
 def build_prior(cfg: ExperimentConfig, truth: np.ndarray | None) -> ScorePrior:
-    mean = None
-    if cfg.prior in ("truth", "smoothed_truth"):
-        if truth is None:
-            raise ConfigError(f"prior={cfg.prior!r} needs the ground-truth image")
-        mean = truth if cfg.prior == "truth" else gaussian_blur(truth, SMOOTHED_MEAN_BLUR_PX)
-    return _score_prior(cfg, mean)
+    if cfg.prior == "none":
+        return _score_prior(cfg)
+    if truth is None:
+        raise ConfigError(f"prior={cfg.prior!r} needs the ground-truth image")
+    return _score_prior(cfg, truth)
 
 
 def build_sampler_config(cfg: ExperimentConfig, method: str | None = None) -> SamplerConfig:

@@ -2,8 +2,7 @@
 
 The Shepp-Logan phantom uses the canonical 10-ellipse parameters on the
 [-1, 1]^2 grid; blob_grid is a seeded lattice of Gaussian bumps. Both are
-normalized to unit maximum magnitude, optionally with a smooth polynomial
-phase ramp (magnitudes unchanged).
+real-valued and normalized to unit maximum magnitude.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 PHANTOM_KINDS = ("shepp_logan", "blob_grid")
-PHASE_KINDS = ("none", "smooth")
 
 # (amplitude, half-axis a, half-axis b, x0, y0, angle degrees)
 SHEPP_LOGAN_ELLIPSES = (
@@ -34,13 +32,10 @@ SHEPP_LOGAN_ELLIPSES = (
 class PhantomSpec:
     kind: str = "shepp_logan"
     size: int = 64
-    phase: str = "none"
 
     def __post_init__(self) -> None:
         if self.kind not in PHANTOM_KINDS:
             raise ValueError(f"unknown phantom kind {self.kind!r}")
-        if self.phase not in PHASE_KINDS:
-            raise ValueError(f"unknown phase kind {self.phase!r}")
         if self.size < 16:
             raise ValueError(f"unsupported size {self.size}, need >= 16")
 
@@ -82,14 +77,7 @@ def make_phantom(spec: PhantomSpec, seed: int = 0) -> np.ndarray:
     else:
         img = _blob_grid(spec.size, seed)
     img = img / np.max(np.abs(img))
-    out = img.astype(np.complex128)
-    if spec.phase == "smooth":
-        rng = np.random.default_rng([seed, 202])
-        yy, xx = _grid(spec.size)
-        ax, ay, axx, ayy = rng.uniform(-0.5, 0.5, size=4)
-        ramp = np.pi * (ax * xx + ay * yy + axx * xx**2 + ayy * yy**2)
-        out = out * np.exp(1j * ramp)
-    return out
+    return img.astype(np.complex128)
 
 
 def coil_lobe_centers(h: int, w: int, coils: int) -> list[tuple[float, float]]:

@@ -1,11 +1,11 @@
-"""Pluggable score functions with their annealing schedules.
+"""The analytic score prior with its annealing schedule.
 
-These analytic priors stand in for a learned score network so the whole
-sampler stays a verifiable (affine) system:
-
-* gaussian:   score of N(mean, tau2*I) convolved with the schedule's
-              N(0, beta_t^2 * I) noise, i.e. (mean - x) / (tau2 + beta_t^2).
-* zero:       no prior; the sampler reduces to data consistency plus noise.
+The prior stands in for a learned score network so the whole sampler
+stays a verifiable (affine) system. A prior with a mean image is the
+Gaussian N(mean, tau2*I) convolved with the schedule's N(0, beta_t^2 * I)
+noise, whose score is (mean - x) / (tau2 + beta_t^2). Without a mean
+there is no prior: the score is zero and the sampler reduces to data
+consistency plus noise.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fourier import fft2c, ifft2c
-
-PRIOR_KINDS = ("gaussian", "zero")
 
 
 @dataclass(frozen=True)
@@ -85,14 +81,11 @@ def eta(schedule: NoiseSchedule, t: int) -> float:
 class ScorePrior:
     """Analytic score function f(x, t) with its noise schedule."""
 
-    kind: str = "gaussian"
     schedule: NoiseSchedule = NoiseSchedule()
-    mean: np.ndarray | None = None  # gaussian: prior mean image (None = zero)
-    tau2: float = 1e-5              # gaussian: prior variance (positive under every kind)
+    mean: np.ndarray | None = None  # Gaussian prior mean image; None = no prior
+    tau2: float = 1e-5              # Gaussian prior variance (positive even without a mean)
 
     def __post_init__(self) -> None:
-        if self.kind not in PRIOR_KINDS:
-            raise ValueError(f"unknown prior kind {self.kind!r}, expected one of {PRIOR_KINDS}")
         if self.tau2 <= 0:
             raise ValueError(f"tau2 must be positive, got {self.tau2}")
 
@@ -106,22 +99,7 @@ def score(prior: ScorePrior, x: np.ndarray, t: int) -> np.ndarray:
     imaginary channels identically)."""
     x = np.asarray(x)
     prior.schedule._check_step(t)
-    if prior.kind == "zero":
+    if prior.mean is None:
         return np.zeros_like(x, dtype=np.complex128)
     beta = prior.schedule.beta(t)
-    mean = 0.0 if prior.mean is None else prior.mean
-    return (mean - x) / (prior.tau2 + beta * beta)
-
-
-def gaussian_blur(img: np.ndarray, sigma_px: float) -> np.ndarray:
-    """Gaussian low-pass with std sigma_px pixels (periodic boundary);
-    handy for building coarse-scale prior means from a reference image."""
-    if sigma_px <= 0:
-        return np.asarray(img).copy()
-    h, w = img.shape
-    fy = (np.arange(h) - h // 2) / h
-    fx = (np.arange(w) - w // 2) / w
-    transfer = np.exp(
-        -2.0 * np.pi**2 * sigma_px**2 * (fy[:, None] ** 2 + fx[None, :] ** 2)
-    )
-    return ifft2c(fft2c(img) * transfer)
+    return (prior.mean - x) / (prior.tau2 + beta * beta)

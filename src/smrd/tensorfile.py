@@ -11,6 +11,7 @@ validates magic, version, dtype and payload length with distinct errors.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -83,7 +84,7 @@ def load_tensor(path) -> np.ndarray:
         raise TruncatedPayloadError("truncated dims")
     dims = struct.unpack(f"<{rank}I", blob[16:dims_end])
     dtype = _TAG_TO_DTYPE[tag]
-    expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize  # Python ints: no wraparound
     payload = blob[dims_end:]
     if len(payload) < expected:
         raise TruncatedPayloadError(

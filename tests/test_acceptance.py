@@ -60,9 +60,10 @@ def reconstruct(cfg: ExperimentConfig, method: str):
 
 @pytest.fixture(scope="module")
 def shared_runs():
-    """Criterion 6's reconstructions, keyed by (accel, sigma, seed, method,
-    lambda0), for criterion 7 to reuse. A run criterion 6 has not stored is
-    computed on demand, so criterion 7 also passes on its own."""
+    """Reconstructions keyed by (accel, sigma, seed, method, lambda0), shared
+    by criteria 5, 6 and 7. Each fetches its runs through
+    reuse_or_reconstruct, which computes a run no earlier criterion stored,
+    so each criterion also passes on its own."""
     return {}
 
 
@@ -177,13 +178,13 @@ def test_criterion_4_sure_unbiasedness():
     report(4, ok, f"known-sigma SURE vs MSE worst rel bias {worst:.3f} in {elapsed:.1f}s")
 
 
-def test_criterion_5_sure_tracks_mse():
+def test_criterion_5_sure_tracks_mse(shared_runs):
     start = time.time()
     passing = 0
     details = []
+    lam0 = ExperimentConfig().lambda0  # criterion 6 runs the same five smrd cells
     for seed in range(5):
-        cfg = ExperimentConfig(accel=4.0, sigma=0.02, seed=seed)
-        truth, rep = reconstruct(cfg, "smrd")
+        truth, rep = reuse_or_reconstruct(shared_runs, 4.0, 0.02, seed, "smrd", lam0)
         sure = np.array([r.sure for r in rep.trace])
         mse = np.array([r.mse for r in rep.trace])
         corr = float(np.corrcoef(sure, mse)[0, 1])
@@ -199,19 +200,16 @@ def test_criterion_5_sure_tracks_mse():
 
 def test_criterion_6_robustness_ordering(shared_runs):
     start = time.time()
+    lam0 = ExperimentConfig().lambda0
     ok = True
     details = []
     for accel in (4.0, 8.0):
         for sigma in (0.0, 0.01, 0.02):
             smrd_vals, am_vals = [], []
             for seed in range(5):
-                cfg = ExperimentConfig(accel=accel, sigma=sigma, seed=seed)
-                truth, rep_sm = reconstruct(cfg, "smrd")
-                smrd_vals.append(psnr(truth, rep_sm.final))
-                truth, rep_am = reconstruct(cfg, "am_fixed")
-                am_vals.append(psnr(truth, rep_am.final))
-                shared_runs[(accel, sigma, seed, "smrd", cfg.lambda0)] = truth, rep_sm
-                shared_runs[(accel, sigma, seed, "am_fixed", cfg.lambda0)] = truth, rep_am
+                for method, vals in (("smrd", smrd_vals), ("am_fixed", am_vals)):
+                    truth, rep = reuse_or_reconstruct(shared_runs, accel, sigma, seed, method, lam0)
+                    vals.append(psnr(truth, rep.final))
             margin = float(np.mean(smrd_vals) - np.mean(am_vals))
             if sigma == 0.0:
                 cell_ok = margin >= -1.0
@@ -226,7 +224,7 @@ def test_criterion_6_robustness_ordering(shared_runs):
 
 def test_criterion_7_lambda_shift(shared_runs):
     grid = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-    lam0 = ExperimentConfig().lambda0  # criterion 6 ran smrd and am_fixed at it
+    lam0 = ExperimentConfig().lambda0  # criterion 6 runs smrd and am_fixed at it
     shift_hits = 0
     for seed in range(5):
         best = {}

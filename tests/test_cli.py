@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -338,6 +339,15 @@ def test_recon_nonfinite_input_is_io_error(tmp_path, capsys, name, method):
     assert f"{name}.smrd" in capsys.readouterr().err
 
 
+def test_recon_overflowing_dims_is_io_error(tmp_path, capsys):
+    out = tmp_path / "sim"
+    run_cli("simulate", *FAST, "--out", out)
+    header = (out / "truth.smrd").read_bytes()[:12]  # magic, version, dtype tag
+    (out / "truth.smrd").write_bytes(header + struct.pack("<5I", 4, *(65536,) * 4))
+    assert run_cli("recon", *FAST, "--method", "am_fixed", "--out", out) == EXIT_IO
+    assert "truncated payload" in capsys.readouterr().err
+
+
 def test_module_runs_as_a_script(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
@@ -392,12 +402,13 @@ def test_removed_settings_are_rejected(tmp_path):
              "probes": "1", "eps_rel": "1e-3"}
     out = tmp_path / "sim"
     for flags in (["--prior", "smoothness"], ["--prior", "gaussian"], ["--prior", "zero"],
+                  ["--prior", "smoothed_truth"], ["--prior", "zero_mean"],
                   ["--prior-mean", "zero"], ["--steps-per-level", "3"], ["--dc-weight", "1"],
                   ["--gamma", "1"], ["--mean-blur", "1"], ["--acs-fraction", "1"],
                   *([f"--{name.replace('_', '-')}", value] for name, value in fixed.items())):
         assert exit_code("simulate", *FAST, *flags, "--out", out) == EXIT_CONFIG, flags
     cfg_path = tmp_path / "old.cfg"
-    for line in ("prior_mean = zero", "steps_per_level = 3",
+    for line in ("prior_mean = zero", "prior = zero_mean", "steps_per_level = 3",
                  *(f"{name} = {value}" for name, value in fixed.items())):
         cfg_path.write_text(line + "\n")
         assert exit_code("simulate", *FAST, "--config", cfg_path, "--out", out) == EXIT_CONFIG
@@ -441,9 +452,9 @@ def test_levels_must_divide_default_steps(tmp_path, capsys, where):
 REJECTED = {
     "phantom": "nope", "size": 8, "coils": 0, "mask": "radial", "accel": 0.5,
     "sigma": -0.5, "prior": "nope", "levels": 0, "steps": 0, "eps0": 0.0,
-    "method": "nope", "lambda0": 0.0, "calib": 999,
+    "method": "nope", "lambda0": 0.0, "calib": 999, "out": "runs/a #b",
 }
-UNCONSTRAINED = {"seed", "out"}
+UNCONSTRAINED = {"seed"}
 # the settings that became constants, each with the value the gate rejected
 # while it was a field: an old command line that still passes one is refused
 REMOVED = {
@@ -462,20 +473,23 @@ def test_gate_table_covers_every_field():
     assert not set(REMOVED) & set(FIELD_TYPES)
 
 
+# the rejected flag comes last, so a rejected `out` (a relative path, hence
+# the chdir) overrides the test's own
 @pytest.mark.parametrize("name", sorted(REJECTED))
-def test_rejected_value_exits_before_any_output(tmp_path, capsys, name):
-    out = tmp_path / "sim"
-    assert run_cli("simulate", *FAST, *rejected_flags(name), "--out", out) == EXIT_CONFIG
+def test_rejected_value_exits_before_any_output(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("simulate", *FAST, "--out", "sim", *rejected_flags(name)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
-    assert not out.exists()
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED | REMOVED))
-def test_rejected_value_exits_before_any_read(tmp_path, name):
+def test_rejected_value_exits_before_any_read(tmp_path, monkeypatch, name):
     # a missing input would be an I/O error (3); the gate runs first, and
     # argparse refuses a removed setting's flag before that
-    code = exit_code("recon", *FAST, *rejected_flags(name), "--out", tmp_path / "empty")
+    monkeypatch.chdir(tmp_path)
+    code = exit_code("recon", *FAST, "--out", "empty", *rejected_flags(name))
     assert code == EXIT_CONFIG
 
 
@@ -519,3 +533,14 @@ def test_docs_name_the_parsers_verbs():
     kinds = dict(re.findall(r"`(--[a-z-]+) ([a-z_]+(?:\|[a-z_]+)+)`", readme))
     for flag, allowed in (("--mask", MASK_KINDS), ("--prior", PRIORS)):
         assert set(kinds[flag].split("|")) == set(allowed)
+
+
+def test_readme_python_examples_run():
+    # the second block reuses the first block's names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["x_next"].shape == namespace["truth"].shape

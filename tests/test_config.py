@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smrd.config import (
     ConfigError,
@@ -20,7 +22,7 @@ from smrd.sure import EarlyStopConfig, SureConfig, TttConfig
 
 def test_round_trip_through_flat_format(tmp_path):
     cfg = ExperimentConfig(accel=8.0, sigma=0.0125, method="am_fixed", seed=17,
-                           prior="smoothed_truth", out="results/run1")
+                           prior="none", out="results/run1")
     path = tmp_path / "exp.cfg"
     path.write_text(cfg.to_text())
     back = load_config(path)
@@ -86,3 +88,25 @@ def test_every_field_survives_text_round_trip():
     back = parse_config_text(cfg.to_text())
     for f in dataclasses.fields(cfg):
         assert getattr(back, f.name) == getattr(cfg, f.name)
+
+
+@pytest.mark.parametrize("out", ["runs/a #b", " lead", "tail ", "a\nsigma = 1", "a\rb", "a\nb"])
+def test_out_that_would_not_read_back_is_rejected(out):
+    with pytest.raises(ConfigError, match="out"):
+        ExperimentConfig(out=out).validate()
+
+
+@pytest.mark.parametrize("out", ["runs/exp#3", "runs/a b", "a=b"])
+def test_out_that_reads_back_is_kept(out):
+    assert ExperimentConfig(out=out).validate().out == out
+
+
+@settings(deadline=None)
+@given(st.text())
+def test_every_accepted_out_survives_text_round_trip(out):
+    cfg = ExperimentConfig(out=out)
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    assert parse_config_text(cfg.to_text()) == cfg

@@ -11,14 +11,14 @@ from smrd.phantom import (
 
 
 def test_phantom_real_and_normalized():
-    img = make_phantom(PhantomSpec(size=64, phase="none"), seed=0)
+    img = make_phantom(PhantomSpec(size=64), seed=0)
     assert np.max(np.abs(img.imag)) == 0
     assert np.max(np.abs(img)) == pytest.approx(1.0)
 
 
 def test_phantom_deterministic():
-    a = make_phantom(PhantomSpec(size=32, phase="smooth"), seed=3)
-    b = make_phantom(PhantomSpec(size=32, phase="smooth"), seed=3)
+    a = make_phantom(PhantomSpec(kind="blob_grid", size=32), seed=3)
+    b = make_phantom(PhantomSpec(kind="blob_grid", size=32), seed=3)
     assert np.array_equal(a, b)
 
 
@@ -40,12 +40,6 @@ def test_phantom_matches_per_pixel_ellipse_oracle():
             raw[i, j] = total
     want = raw / np.max(np.abs(raw))
     assert np.max(np.abs(img - want)) < 1e-12
-
-
-def test_phantom_smooth_phase_keeps_magnitudes():
-    flat = make_phantom(PhantomSpec(size=32, phase="none"), seed=1)
-    phased = make_phantom(PhantomSpec(size=32, phase="smooth"), seed=1)
-    assert np.max(np.abs(np.abs(phased) - np.abs(flat))) < 1e-12
 
 
 def test_blob_grid_depends_on_seed():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smrd.priors import NoiseSchedule, ScorePrior, eta, gaussian_blur, score
+from smrd.priors import NoiseSchedule, ScorePrior, eta, score
 
 
 def test_schedule_endpoints_and_monotonicity():
@@ -50,20 +50,20 @@ def test_schedule_validation():
 
 def test_gaussian_score_vanishes_at_mean():
     mean = np.full((8, 8), 0.3 + 0.1j)
-    prior = ScorePrior(kind="gaussian", mean=mean, tau2=0.5)
+    prior = ScorePrior(mean=mean, tau2=0.5)
     assert np.max(np.abs(score(prior, mean.copy(), 0))) == 0
 
 
 def test_gaussian_score_scalar_case():
     # mean 0, tau2 1, beta 1 at t=0, x = 2 -> (0 - 2) / (1 + 1) = -1
     s = NoiseSchedule(levels=2, beta_max=1.0, beta_min=0.5, steps_per_level=1)
-    prior = ScorePrior(kind="gaussian", schedule=s, mean=None, tau2=1.0)
+    prior = ScorePrior(schedule=s, mean=np.zeros((1, 1)), tau2=1.0)
     out = score(prior, np.array([[2.0 + 0.0j]]), 0)
     assert out[0, 0] == pytest.approx(-1.0)
 
 
 def test_zero_prior():
-    prior = ScorePrior(kind="zero")
+    prior = ScorePrior()
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     assert not score(prior, x, 5).any()
@@ -72,7 +72,7 @@ def test_zero_prior():
 def test_gaussian_score_affine_in_x():
     rng = np.random.default_rng(1)
     mean = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    prior = ScorePrior(kind="gaussian", mean=mean, tau2=0.3)
+    prior = ScorePrior(mean=mean, tau2=0.3)
     x1 = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     x2 = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     a = 0.35
@@ -86,7 +86,7 @@ def test_gaussian_fixed_point_is_mean():
     rng = np.random.default_rng(2)
     mean = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     s = NoiseSchedule(levels=1, beta_max=1.0, beta_min=0.5, steps_per_level=400, eps0=0.3)
-    prior = ScorePrior(kind="gaussian", schedule=s, mean=mean, tau2=0.75)
+    prior = ScorePrior(schedule=s, mean=mean, tau2=0.75)
     x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     for t in range(s.total_steps):
         x = x + eta(s, t) * score(prior, x, t)
@@ -94,26 +94,13 @@ def test_gaussian_fixed_point_is_mean():
 
 
 def test_score_rejects_bad_step():
-    prior = ScorePrior(kind="zero")
+    prior = ScorePrior()
     with pytest.raises(ValueError):
         score(prior, np.zeros((4, 4)), prior.total_steps)
 
 
 def test_prior_validation():
     with pytest.raises(ValueError):
-        ScorePrior(kind="mystery")
+        ScorePrior(mean=np.zeros((4, 4)), tau2=0.0)
     with pytest.raises(ValueError):
-        ScorePrior(kind="gaussian", tau2=0.0)
-    with pytest.raises(ValueError):
-        ScorePrior(kind="zero", tau2=-1.0)  # unused by the zero prior, still checked
-    with pytest.raises(ValueError):
-        ScorePrior(kind="smoothness")
-
-
-def test_gaussian_blur_preserves_dc_and_smooths():
-    rng = np.random.default_rng(3)
-    img = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-    out = gaussian_blur(img, 2.0)
-    assert np.mean(out) == pytest.approx(np.mean(img), rel=1e-10)
-    assert np.var(out.real) < np.var(img.real)
-    assert np.array_equal(gaussian_blur(img, 0.0), img)
+        ScorePrior(tau2=-1.0)  # unused without a mean, still checked

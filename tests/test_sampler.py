@@ -54,7 +54,7 @@ def materialize_normal(fm, lam):
 # langevin ---------------------------------------------------------------
 
 def test_langevin_zero_prior_zero_noise_is_identity():
-    prior = ScorePrior(kind="zero")
+    prior = ScorePrior()
     rng = np.random.default_rng(0)
     x = random_complex(rng, (8, 8))
     out = langevin_step(x, prior, 0, np.zeros_like(x))
@@ -62,7 +62,7 @@ def test_langevin_zero_prior_zero_noise_is_identity():
 
 
 def test_langevin_deterministic():
-    prior = ScorePrior(kind="gaussian", mean=None, tau2=1.0)
+    prior = ScorePrior(mean=np.zeros((8, 8)), tau2=1.0)
     rng = np.random.default_rng(1)
     x = random_complex(rng, (8, 8))
     zeta = random_complex(np.random.default_rng(42), x.shape)
@@ -74,7 +74,7 @@ def test_langevin_deterministic():
 def test_langevin_scalar_closed_form():
     # eta = 0.5, gaussian prior (mean 0, tau2 1, beta 1): 2 + 0.5 * (-1) = 1.5
     sched = NoiseSchedule(levels=1, beta_max=2.0, beta_min=1.0, steps_per_level=1, eps0=0.5)
-    prior = ScorePrior(kind="gaussian", schedule=sched, mean=None, tau2=1.0)
+    prior = ScorePrior(schedule=sched, mean=np.zeros((1, 1)), tau2=1.0)
     out = langevin_step(np.array([[2.0 + 0j]]), prior, 0, np.zeros((1, 1)))
     assert out[0, 0] == pytest.approx(1.5)
 
@@ -272,7 +272,7 @@ def test_csgm_step_is_bitwise_the_reference_formula(name):
     fm = BITWISE_MODELS[name]()
     x, y, zeta, _ = _operator_inputs(fm, 16)
     x_zf = apply_adjoint(fm, y)
-    prior = ScorePrior(kind="gaussian", mean=None, tau2=1.0)
+    prior = ScorePrior(mean=np.zeros(fm.shape), tau2=1.0)
     t = 7
     et = eta(prior.schedule, t)
     grad = score(prior, x, t) + (x_zf - apply_adjoint(fm, apply_forward(fm, x)))
@@ -283,7 +283,7 @@ def test_csgm_step_is_bitwise_the_reference_formula(name):
 
 def test_csgm_step_rejects_mismatched_shapes():
     op = NormalOperator(unit_model(4, 4))
-    prior = ScorePrior(kind="zero")
+    prior = ScorePrior()
     z = np.zeros((4, 4), dtype=complex)
     for x, x_zf in ((z[:1], z), (z, z[:, :1])):
         with pytest.raises(ValueError):
@@ -294,7 +294,7 @@ def test_csgm_step_rejects_mismatched_shapes():
 def test_one_operator_serves_interleaved_solves_and_data_terms(name):
     fm = CG_MODELS[name]()
     x, _, x_zf, x_plus = _operator_inputs(fm, 17)
-    prior = ScorePrior(kind="gaussian", mean=None, tau2=1.0)
+    prior = ScorePrior(mean=np.zeros(fm.shape), tau2=1.0)
     zeta = np.zeros(fm.shape, dtype=complex)
     op = NormalOperator(fm)
     for lam in (0.5, 4.0, 0.5):
@@ -312,7 +312,7 @@ def test_operator_leaves_inputs_alone_and_returns_its_own_arrays(name):
     inputs = (fm.sens, fm.mask.keep, y, x_zf, x_plus, x)
     before = [a.copy() for a in inputs]
     op = NormalOperator(fm)
-    prior = ScorePrior(kind="gaussian", mean=None, tau2=1.0)
+    prior = ScorePrior(mean=np.zeros(fm.shape), tau2=1.0)
     results = [cg_solve(op, 1.5, x_zf, x_plus, k) for k in (0, 3)]
     results.append(op.gram(x))
     results.append(csgm_step(x, prior, op, x_zf, 7, x_plus))
@@ -391,7 +391,7 @@ def test_csgm_data_term_vanishes_on_consistent_iterate():
     fm = ForwardModel(sens=make_synth_coils(h, w, 2, 1), mask=mask)
     truth = make_phantom(PhantomSpec(size=h), 1)
     y = apply_forward(fm, truth)
-    prior = ScorePrior(kind="zero")
+    prior = ScorePrior()
     zeta = random_complex(np.random.default_rng(0), truth.shape)
     out = csgm_step(truth, prior, NormalOperator(fm), apply_adjoint(fm, y), 0, zeta)
     assert np.array_equal(out, langevin_step(truth, prior, 0, zeta))
@@ -401,7 +401,7 @@ def test_csgm_scalar_recursion():
     # full 1x1 mask, unit sens, zero noise: x + eta * (score + (y - x))
     fm = unit_model(1, 1)
     sched = NoiseSchedule(levels=1, beta_max=2.0, beta_min=1.0, steps_per_level=1, eps0=0.25)
-    prior = ScorePrior(kind="gaussian", schedule=sched, mean=None, tau2=1.0)
+    prior = ScorePrior(schedule=sched, mean=np.zeros((1, 1)), tau2=1.0)
     x = np.array([[2.0 + 0j]])
     y = np.array([[[1.0 + 0j]]])
     out = csgm_step(x, prior, NormalOperator(fm), apply_adjoint(fm, y), 0, np.zeros((1, 1)))
@@ -514,7 +514,7 @@ def test_composite_step_contracts_on_full_mask():
     h = w = 4
     fm = unit_model(h, w)
     sched = NoiseSchedule(levels=2, beta_max=1.0, beta_min=0.5, steps_per_level=1, eps0=0.1)
-    prior = ScorePrior(kind="gaussian", schedule=sched, mean=None, tau2=1.0)
+    prior = ScorePrior(schedule=sched, mean=np.zeros((h, w)), tau2=1.0)
     rng = np.random.default_rng(14)
     x_zf = random_complex(rng, (h, w))
     t = 0

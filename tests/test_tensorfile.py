@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,14 @@ def test_truncated_payload(tmp_path):
     save_tensor(path, np.zeros((4, 4), dtype=np.complex128))
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
+    with pytest.raises(TruncatedPayloadError):
+        load_tensor(path)
+
+
+def test_overflowing_dims_are_a_truncated_payload(tmp_path):
+    # 65536**4 elements wrap to 0 in int64; the size must not wrap
+    path = tmp_path / "t.smrd"
+    path.write_bytes(MAGIC + struct.pack("<7I", 1, 1, 4, *(65536,) * 4))
     with pytest.raises(TruncatedPayloadError):
         load_tensor(path)
 
