@@ -14,7 +14,7 @@ from .forward import (
     make_equispaced_mask,
     make_poisson_disc_mask,
 )
-from .fourier import fft2c, ifft2c, inner, norm2
+from .fourier import fft2c, ifft2c, norm2
 from .metrics import psnr, ssim
 from .phantom import PhantomSpec, coil_lobe_centers, make_phantom, make_synth_coils
 from .priors import NoiseSchedule, ScorePrior, eta, score

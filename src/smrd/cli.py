@@ -7,7 +7,8 @@ Verbs:
     compare       run all five methods, write a comparison table
 
 Every command is a pure function of (config, input files): reruns with the
-same seed produce byte-identical outputs for a fixed BLAS thread count.
+same seed produce byte-identical outputs at any BLAS thread count, though
+not across CPUs or numpy builds.
 Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numerical failure (a run
 turned non-finite; the message names the method and step).
 """

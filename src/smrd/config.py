@@ -5,8 +5,9 @@ The file format is one `key = value` pair per line. A `#` at the start
 of a line or after whitespace starts a comment, so `out = runs/exp#3`
 keeps its `#` and `accel = 8  # R` reads 8; a value cannot hold a `#`
 after whitespace. Unknown keys are rejected so stale configs fail
-loudly. Every command's randomness funnels through the single `seed`
-field, with sub-streams derived by hashing (seed, purpose label).
+loudly, and so is a key set twice. Every command's randomness funnels
+through the single `seed` field, with sub-streams derived by hashing
+(seed, purpose label).
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """The one gate, run before any file is read or written. Its own
         rules: finite floats, a known `mask` and `prior`, coils >= 1,
-        accel >= 1, 0 <= calib <= size under every mask, and an `out` that
-        reads back unchanged from its config-file line. Every other
-        rule is a component's own and runs by building that component's
+        accel >= 1, 0 <= calib <= size under every mask, and a nonempty
+        `out` that reads back unchanged from its config-file line. Every
+        other rule is a component's own and runs by building that component's
         spec; its ValueError is re-raised as ConfigError."""
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
@@ -100,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if not 0 <= self.calib <= self.size:
             raise ConfigError(f"calib must be in [0, size={self.size}], got {self.calib}")
+        if not self.out:
+            raise ConfigError("out must not be empty")
         try:
             same = parse_config_text(f"out = {self.out}").out == self.out
         except ConfigError:
@@ -134,9 +137,10 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Apply the `key = value` lines of `text` to the defaults. Only parses:
-    unknown keys and unparsable values raise ConfigError, and the caller
-    gates the finished config with validate()."""
+    unknown or repeated keys and unparsable values raise ConfigError, and
+    the caller gates the finished config with validate()."""
     updates = {}
+    first_line = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not stripped:
@@ -147,6 +151,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
         updates[key] = _convert(key, FIELD_TYPES[key], raw)
     return ExperimentConfig(**updates)
 

@@ -8,9 +8,8 @@ centered orthonormal FFT and a binary k-space sampling mask:
 
 `apply_forward` and `apply_adjoint` are the out-of-place reference
 operators. `NormalOperator` prepares their composition A^H A once per
-reconstruction: one in-place apply in natural FFT order, with the
-reference operators' operand order, that both update rules share (see
-its docstring).
+reconstruction: one in-place apply, with the reference operators'
+operand order, that both update rules share (see its docstring).
 
 Mask generators acquire an optional fully sampled calibration region and
 keep the realized acceleration within 10% of the request. Measurement
@@ -25,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import complex_normal, fft2c, ifft2c
-
-_AXES = (-2, -1)
 
 
 @dataclass(frozen=True)
@@ -336,45 +333,45 @@ def apply_adjoint(fm: ForwardModel, y: np.ndarray) -> np.ndarray:
 
 class NormalOperator:
     """The Gram operator A^H A of one forward model, prepared for in-place
-    applies on images in natural FFT order. `cg_solve` adds its `lam z`
-    and the CSGM step forms its data term `x_zf - A^H A x` from it.
+    applies. `cg_solve` adds its `lam z` and the CSGM step forms its data
+    term `x_zf - A^H A x` from it.
 
-    The centered-FFT shifts are permutations, and permutations commute
-    exactly with elementwise products and the coil sum. So the coil maps,
-    their conjugates and the mask are shifted into natural FFT order once,
-    here, and callers shift images only at their boundaries. Each apply
-    runs in one complex (coils, h, w) work array and allocates only its
-    (h, w) result. The inverse FFT is `ifftn` over the last two axes
-    because numpy 2.4's `ifft2` ignores `out=`. The mask stays bool: each
-    product casts it exactly as the reference operators do, and a complex
-    copy would hold 16 bytes per pixel for nothing.
+    F^H M F is a circular convolution, so it commutes with circular shifts
+    and the centering shifts of `fft2c` and `ifft2c` cancel around it: an
+    apply is `sum_c conj(S_c) * ifft2(M' * fft2(S_c * z))`, with `M'` the
+    mask shifted once, here, and images in the reference operators' order.
+    Each apply runs in one complex (coils, h, w) work array and allocates
+    only its (h, w) result. The inverse FFT is `ifftn` over the last two
+    axes because numpy 2.4's `ifft2` ignores `out=`. The mask stays bool:
+    each product casts it exactly as the reference operators do, and a
+    complex copy would hold 16 bytes per pixel for nothing.
 
     numpy's SIMD complex product is not bitwise commutative, so every
-    product keeps the reference operators' operand order: `sens * x`,
-    `(.) * mask`, then `conj(sens) * (.)`. `gram(v)` is therefore bitwise
-    `ifftshift(apply_adjoint(fm, apply_forward(fm, fftshift(v))))`.
+    product keeps the reference operators' operand order: `sens * z`,
+    `(.) * mask`, then `conj(sens) * (.)`. `gram(z)` is bitwise
+    `apply_adjoint(fm, apply_forward(fm, z))` at power-of-two sizes and
+    agrees with it to rounding at the others.
 
-    Build one per reconstruction and let it go with the run: it holds three
-    coil stacks, and caching them on a `ForwardModel` would keep them
+    Build one per reconstruction and let it go with the run: it holds the
+    conjugate coil stack, and caching it on a `ForwardModel` would keep it
     resident for as long as the model lives. The work array is shared by
     every apply, so one operator must not be used from two threads at once.
     """
 
     def __init__(self, fm: ForwardModel) -> None:
         self.shape = fm.shape
-        self.sens = np.fft.ifftshift(fm.sens, axes=_AXES)
-        self.sens_h = np.conj(self.sens)
-        self.keep = np.fft.ifftshift(fm.mask.keep, axes=_AXES)
-        self.work = np.empty(self.sens.shape, dtype=np.complex128)
+        self.sens = fm.sens
+        self.sens_h = np.conj(fm.sens)
+        self.keep = np.fft.ifftshift(fm.mask.keep)
+        self.work = np.empty(fm.sens.shape, dtype=np.complex128)
 
     def gram(self, z: np.ndarray) -> np.ndarray:
-        """A^H A z for an image z in natural FFT order; returns a new array
-        in natural order."""
+        """A^H A z for an (h, w) image z; returns a new array."""
         work = self.work
         np.multiply(self.sens, z, out=work)
-        np.fft.fft2(work, axes=_AXES, norm="ortho", out=work)
+        np.fft.fft2(work, norm="ortho", out=work)
         np.multiply(work, self.keep, out=work)
-        np.fft.ifftn(work, axes=_AXES, norm="ortho", out=work)
+        np.fft.ifftn(work, axes=(-2, -1), norm="ortho", out=work)
         np.multiply(self.sens_h, work, out=work)
         return np.sum(work, axis=0)
 

@@ -1,4 +1,4 @@
-"""Centered orthonormal 2D Fourier transforms, complex inner products and
+"""Centered orthonormal 2D Fourier transforms, real inner products and
 complex normal draws.
 
 k-space follows the MRI convention: the zero-frequency bin sits at
@@ -43,16 +43,21 @@ def complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Complex inner product sum(conj(a) * b) of two same-shape arrays."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+def real_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum(conj(a) * b) of two same-shape arrays as a python float.
+
+    It is the dot product of the arrays' float64 views, summed by einsum's
+    own loop, which calls no BLAS and starts no threads, so its bits do not
+    depend on the BLAS thread count.
+    """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    b = np.ascontiguousarray(b, dtype=np.complex128)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
+    ra, rb = (v.reshape(-1).view(np.float64) for v in (a, b))
+    return float(np.einsum("i,i->", ra, rb))
 
 
 def norm2(a: np.ndarray) -> float:
     """Squared Euclidean norm sum(|a|^2) as a python float."""
-    a = np.asarray(a)
-    return float(np.vdot(a, a).real)
+    return real_inner(a, a)

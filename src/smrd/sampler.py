@@ -15,9 +15,9 @@ Baselines: `am_fixed` keeps lam constant with no stopping, `csgm` /
 solve, and `zero_filled` returns the adjoint image.
 
 Each reconstruction prepares one `forward.NormalOperator`, whose one
-apply gives A^H A in natural FFT order: every CG solve adds `lam z` to
-it, and every CSGM step forms its data term `x_zf - A^H A x` from it. The
-operator goes with the run and is cached nowhere.
+apply gives A^H A: every CG solve adds `lam z` to it, and every CSGM step
+forms its data term `x_zf - A^H A x` from it. The operator goes with the
+run and is cached nowhere.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import metrics
 from .forward import ForwardModel, NormalOperator, apply_adjoint
-from .fourier import complex_normal, norm2
+from .fourier import complex_normal, norm2, real_inner
 from .priors import ScorePrior, eta, score
 from .sure import (
     EarlyStopConfig,
@@ -46,8 +46,6 @@ from .tensorfile import atomic_write
 
 CG_ITERS = 5  # CG iterations per data-consistency solve
 METHODS = ("smrd", "am_fixed", "csgm", "csgm_es", "zero_filled")
-
-_AXES = (-2, -1)
 
 
 @dataclass(frozen=True)
@@ -75,11 +73,16 @@ class TraceRow:
 
 @dataclass
 class ReconReport:
-    """Final image plus the per-step trace and the stop iteration."""
+    """Final image plus the per-step trace, one row per executed step."""
 
     final: np.ndarray
-    stop_step: int
     trace: list[TraceRow] = field(default_factory=list)
+
+    @property
+    def stop_step(self) -> int:
+        """Steps executed: 0 for `zero_filled`, t + 1 after an early stop at
+        step t, else the schedule's total."""
+        return len(self.trace)
 
     @property
     def final_lambda(self) -> float:
@@ -113,10 +116,6 @@ def cg_solve(
     undersampling) and iters nonnegative. The iteration is deterministic, so
     `iters = k` returns the k-th iterate of one and the same CG sequence
     (`iters = 0` returns a copy of x_plus). The inputs are never written to.
-
-    The whole solve runs in natural FFT order, with one shift of the
-    right-hand side and the start at entry and one of the result at exit;
-    every apply runs in place in `op`'s work array.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -125,8 +124,8 @@ def cg_solve(
     if x_zf.shape != op.shape or x_plus.shape != op.shape:
         raise ValueError("x_zf / x_plus shapes do not match the forward model")
 
-    b = np.fft.ifftshift(x_zf + lam * x_plus, axes=_AXES)
-    z = np.fft.ifftshift(np.asarray(x_plus, dtype=np.complex128), axes=_AXES)
+    b = x_zf + lam * x_plus
+    z = np.array(x_plus, dtype=np.complex128)
     r = b - (op.gram(z) + lam * z)
     p = r.copy()
     rz = norm2(r)
@@ -134,7 +133,7 @@ def cg_solve(
         if rz == 0.0:
             break
         ap = op.gram(p) + lam * p
-        pap = float(np.vdot(p, ap).real)
+        pap = real_inner(p, ap)
         if pap <= 0.0:
             break
         alpha = rz / pap
@@ -143,7 +142,7 @@ def cg_solve(
         rz_new = norm2(r)
         p = r + (rz_new / rz) * p
         rz = rz_new
-    return np.fft.fftshift(z, axes=_AXES)
+    return z
 
 
 def csgm_step(
@@ -161,8 +160,7 @@ def csgm_step(
     if x.shape != op.shape or x_zf.shape != op.shape:
         raise ValueError("x / x_zf shapes do not match the forward model")
     et = eta(prior.schedule, t)
-    gram_x = np.fft.fftshift(op.gram(np.fft.ifftshift(x, axes=_AXES)), axes=_AXES)
-    grad = score(prior, x, t) + (x_zf - gram_x)
+    grad = score(prior, x, t) + (x_zf - op.gram(x))
     return x + et * grad + math.sqrt(2.0 * et) * zeta
 
 
@@ -193,7 +191,7 @@ def run_reconstruction(
     # images are checked by energy, which also overflows on finite but huge entries
     _require_finite(norm2(x_zf), "zero-filled image energy", cfg.method)
     if cfg.method == "zero_filled":
-        return ReconReport(final=x_zf, stop_step=0, trace=[])
+        return ReconReport(final=x_zf)
 
     total = prior.total_steps
     window = es.resolve_window(total)
@@ -206,7 +204,6 @@ def run_reconstruction(
     x = complex_normal(rng, fm.shape)
     state = TttState(lam=ttt.lambda0)
     trace: list[TraceRow] = []
-    stop_step = total
 
     for t in range(total):
         lam_t = state.lam
@@ -258,10 +255,9 @@ def run_reconstruction(
 
         x = x_next
         if use_sure and early_stop_check(state.sure_history, window):
-            stop_step = t + 1
             break
 
-    return ReconReport(final=x, stop_step=stop_step, trace=trace)
+    return ReconReport(final=x, trace=trace)
 
 
 def write_trace_csv(report: ReconReport, path) -> None:

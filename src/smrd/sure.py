@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fourier import complex_normal, norm2
+from .fourier import complex_normal, norm2, real_inner
 
 LAMBDA_MIN = 1e-4
 LAMBDA_MAX = 1e4
@@ -131,7 +131,7 @@ def _probe_evaluator(
         total = 0.0
         for mu in mus:
             h1 = h(x_t + eps * mu, lam)
-            probe_term = float(np.vdot(mu, h1 - h0).real) / eps
+            probe_term = real_inner(mu, h1 - h0) / eps
             total += base * probe_term / n
         return total / len(mus)
 

@@ -484,6 +484,22 @@ def test_rejected_value_exits_before_any_output(tmp_path, capsys, monkeypatch, n
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags, text, key", [
+    (["--out", ""], "", "out"),
+    ([], "out =\n", "out"),
+    ([], "accel = 4\naccel = 8\n", "accel"),
+], ids=["empty-out-flag", "empty-out-file", "repeated-key"])
+def test_config_slip_exits_before_any_write(tmp_path, capsys, monkeypatch, flags, text, key):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run_cli("simulate", *FAST, "--config", cfg_path, *flags) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not any(work.iterdir())
+
+
 @pytest.mark.parametrize("name", sorted(REJECTED | REMOVED))
 def test_rejected_value_exits_before_any_read(tmp_path, monkeypatch, name):
     # a missing input would be an I/O error (3); the gate runs first, and

@@ -34,6 +34,17 @@ def test_unknown_key_rejected():
         parse_config_text("not_a_field = 3\n")
 
 
+def test_repeated_key_rejected():
+    with pytest.raises(ConfigError, match="line 3: key 'accel' already set on line 1"):
+        parse_config_text("accel = 4\nsigma = 0.1\naccel = 8\n")
+
+
+def test_empty_out_rejected():
+    for cfg in (ExperimentConfig(out=""), parse_config_text("out =\n")):
+        with pytest.raises(ConfigError, match="out must not be empty"):
+            cfg.validate()
+
+
 def test_bad_value_rejected():
     with pytest.raises(ConfigError):
         parse_config_text("accel = banana\n")

@@ -16,7 +16,7 @@ from smrd.forward import (
     make_poisson_disc_mask,
     poisson_local_radii,
 )
-from smrd.fourier import fft2c, ifft2c, inner
+from smrd.fourier import fft2c, ifft2c
 from smrd.phantom import make_phantom, make_synth_coils, PhantomSpec
 from tests.test_fourier import dft2c_brute, random_complex
 
@@ -261,8 +261,8 @@ def test_adjoint_identity_random_models():
         fm = ForwardModel(sens=random_complex(rng, (coils, h, w)), mask=mask)
         x = random_complex(rng, (h, w))
         y = random_complex(rng, (coils, h, w))
-        lhs = inner(apply_forward(fm, x), y)
-        rhs = inner(x, apply_adjoint(fm, y))
+        lhs = np.vdot(apply_forward(fm, x), y)
+        rhs = np.vdot(x, apply_adjoint(fm, y))
         scale = np.linalg.norm(apply_forward(fm, x)) * np.linalg.norm(y)
         assert abs(lhs - rhs) <= 1e-10 * max(scale, 1.0)
 
@@ -277,7 +277,7 @@ def test_normal_operator_is_contraction_for_sos_coils():
     for _ in range(50):
         v = apply_adjoint(fm, apply_forward(fm, v))
         v /= np.linalg.norm(v)
-    top = inner(v, apply_adjoint(fm, apply_forward(fm, v))).real
+    top = np.vdot(v, apply_adjoint(fm, apply_forward(fm, v))).real
     assert top <= 1 + 1e-8
 
 
@@ -297,7 +297,7 @@ def test_gram_self_adjoint_psd():
     rng = np.random.default_rng(11)
     for _ in range(10):
         z = random_complex(rng, (2, 16, 16))
-        q = inner(z, apply_forward(fm, apply_adjoint(fm, z)))
+        q = np.vdot(z, apply_forward(fm, apply_adjoint(fm, z)))
         assert abs(q.imag) < 1e-10 * max(abs(q), 1.0)
         assert q.real >= -1e-10
 

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from smrd.fourier import fft2c, ifft2c, inner, norm2
+import smrd
+from smrd.fourier import fft2c, ifft2c, norm2, real_inner
 
 
 def dft2c_brute(x):
@@ -102,33 +106,73 @@ def test_transform_adjointness():
     for _ in range(100):
         x = random_complex(rng, (8, 8))
         y = random_complex(rng, (8, 8))
-        lhs = inner(fft2c(x), y)
-        rhs = inner(x, ifft2c(y))
+        lhs = np.vdot(fft2c(x), y)
+        rhs = np.vdot(x, ifft2c(y))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
 def test_inner_norm():
     rng = np.random.default_rng(6)
     x = random_complex(rng, (5, 5))
-    v = inner(x, x)
-    assert v.imag == pytest.approx(0.0, abs=1e-12)
-    assert v.real >= 0
-    assert v.real == pytest.approx(norm2(x), rel=1e-12)
+    v = real_inner(x, x)
+    assert v >= 0
+    assert v == norm2(x)
+    assert v == pytest.approx(np.vdot(x, x).real, rel=1e-12)
 
 
 def test_inner_conjugate_symmetry():
+    # Re<a, b> = Re<b, a>, the real part of the complex inner product
     rng = np.random.default_rng(7)
     a = random_complex(rng, (6, 6))
     b = random_complex(rng, (6, 6))
-    assert abs(inner(a, b) - np.conj(inner(b, a))) < 1e-12
+    assert real_inner(a, b) == real_inner(b, a)
+    assert real_inner(a, b) == pytest.approx(np.vdot(a, b).real, rel=1e-12)
 
 
 def test_inner_orthogonal_supports():
     a = np.array([[1 + 1j, 0.0]])
     b = np.array([[0.0, 2.0]])
-    assert inner(a, b) == 0
+    assert real_inner(a, b) == 0
 
 
 def test_inner_shape_mismatch():
     with pytest.raises(ValueError):
-        inner(np.zeros((2, 2)), np.zeros((2, 3)))
+        real_inner(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+# products that numpy may hand to BLAS, whose summation order (and so whose
+# bits) can change with the BLAS thread count
+NP_PRODUCTS = {"vdot", "dot", "inner", "matmul", "tensordot"}
+
+
+def blas_products(source):
+    """(line, expression) of each BLAS-backed product in `source`: `@`,
+    any `.dot`, numpy's products and `linalg.norm`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Attribute):
+            owner = ast.unparse(node.value)
+            if (node.attr == "dot" or (owner in ("np", "numpy") and node.attr in NP_PRODUCTS)
+                    or (owner.endswith("linalg") and node.attr == "norm")):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            for alias in node.names:
+                if alias.name in NP_PRODUCTS | {"norm"}:
+                    yield node.lineno, alias.name
+
+
+def test_blas_product_scan_sees_every_form():
+    source = ("a @ b\nc @= d\nx.dot(y)\nnp.vdot(a, b)\nnp.dot(a, b)\nnp.inner(a, b)\n"
+              "numpy.matmul(a, b)\nnp.linalg.norm(a)\nfrom numpy import vdot\n"
+              "from numpy.linalg import norm\n@dataclass\nclass C: pass\n")
+    assert sorted(line for line, _ in blas_products(source)) == list(range(1, 11))
+
+
+def test_no_blas_reduction_in_the_package():
+    # every reduction goes through real_inner, whose bits do not depend on
+    # the BLAS thread count
+    found = [(path.name, line, expr)
+             for path in sorted(Path(smrd.__file__).parent.glob("*.py"))
+             for line, expr in blas_products(path.read_text())]
+    assert found == []
