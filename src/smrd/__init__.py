@@ -17,7 +17,7 @@ from .forward import (
 from .fourier import fft2c, ifft2c, norm2
 from .metrics import psnr, ssim
 from .phantom import PhantomSpec, coil_lobe_centers, make_phantom, make_synth_coils
-from .priors import NoiseSchedule, ScorePrior, eta, score
+from .priors import NoiseSchedule, ScorePrior, score
 from .sampler import (
     METHODS,
     ReconReport,

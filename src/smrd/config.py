@@ -53,8 +53,8 @@ def format_keyvals(pairs: Iterable[tuple[str, object]]) -> str:
 @dataclass
 class ExperimentConfig:
     # data
-    phantom: str = "shepp_logan"
-    size: int = 64
+    phantom: str = PhantomSpec.kind
+    size: int = PhantomSpec.size
     coils: int = 4
     mask: str = "equispaced"
     accel: float = 4.0
@@ -62,12 +62,12 @@ class ExperimentConfig:
     sigma: float = 0.0
     # prior
     prior: str = "truth"  # one of PRIORS
-    levels: int = 30
-    steps: int = 300  # a multiple of levels; each level runs steps // levels
-    eps0: float = 1.8e-6
+    levels: int = NoiseSchedule.levels
+    steps: int = NoiseSchedule.steps  # a multiple of levels; each level runs steps // levels
+    eps0: float = NoiseSchedule.eps0
     # sampler / controller
-    method: str = "smrd"
-    lambda0: float = 2.0
+    method: str = SamplerConfig.method
+    lambda0: float = TttConfig.lambda0
     # run
     seed: int = 0
     out: str = "out"
@@ -191,10 +191,7 @@ def build_noise_spec(cfg: ExperimentConfig) -> NoiseSpec:
 
 
 def _score_prior(cfg: ExperimentConfig, mean: np.ndarray | None = None) -> ScorePrior:
-    if cfg.levels < 1 or cfg.steps < 1 or cfg.steps % cfg.levels:
-        raise ValueError("steps must be a positive multiple of levels >= 1, "
-                         f"got steps={cfg.steps}, levels={cfg.levels}")
-    schedule = NoiseSchedule(levels=cfg.levels, steps_per_level=cfg.steps // cfg.levels, eps0=cfg.eps0)
+    schedule = NoiseSchedule(levels=cfg.levels, steps=cfg.steps, eps0=cfg.eps0)
     return ScorePrior(schedule=schedule, mean=mean)
 
 

@@ -71,6 +71,7 @@ class ForwardModel:
 
     def __post_init__(self) -> None:
         sens = np.asarray(self.sens)
+        object.__setattr__(self, "sens", sens)
         if sens.ndim != 3:
             raise ValueError(f"sens must have shape (coils, h, w), got {sens.shape}")
         if sens.shape[1:] != self.mask.shape:

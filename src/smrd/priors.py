@@ -6,75 +6,62 @@ Gaussian N(mean, tau2*I) convolved with the schedule's N(0, beta_t^2 * I)
 noise, whose score is (mean - x) / (tau2 + beta_t^2). Without a mean
 there is no prior: the score is zero and the sampler reduces to data
 consistency plus noise.
+
+`NoiseSchedule(levels, steps, eps0)` owns step timing: step t of `steps`
+reads its noise level from `schedule.beta(t)` and its Langevin step size
+from `schedule.eta(t)`.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Geometric noise levels beta and Langevin step sizes eta.
+    """Geometric noise levels beta and Langevin step sizes eta over `steps`.
 
-    beta_l = beta_max * (beta_min / beta_max)^(l / (levels - 1)) for level
-    l = 0..levels-1 (strictly decreasing), and each level runs
-    `steps_per_level` steps, so total steps T = levels * steps_per_level.
-    eta_t = eps0 * beta_{l(t)}^2 / beta_{levels-1}^2.
+    betas[l] = beta_max * (beta_min / beta_max)^(l / (levels - 1)) for level
+    l = 0..levels-1 (strictly decreasing, read-only). `steps` is a multiple
+    of `levels` and each level runs steps // levels of them, so step t has
+    beta_t = betas[t // (steps // levels)] and
+    eta_t = eps0 * beta_t^2 / betas[-1]^2.
     """
 
     levels: int = 30
+    steps: int = 300
     beta_max: float = 1.0
     beta_min: float = 0.003
-    steps_per_level: int = 10
     eps0: float = 1.8e-6
+    betas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.levels < 1 or self.steps_per_level < 1:
-            raise ValueError("levels and steps_per_level must be positive")
+        if self.levels < 1 or self.steps < 1 or self.steps % self.levels:
+            raise ValueError("steps must be a positive multiple of levels >= 1, "
+                             f"got steps={self.steps}, levels={self.levels}")
         if not 0 < self.beta_min < self.beta_max:
             raise ValueError("need 0 < beta_min < beta_max")
         if self.eps0 <= 0:
             raise ValueError("eps0 must be positive")
-
-    @property
-    def total_steps(self) -> int:
-        return self.levels * self.steps_per_level
-
-    def betas(self) -> np.ndarray:
-        return _geometric_betas(self.levels, self.beta_max, self.beta_min)
-
-    def level(self, t: int) -> int:
-        self._check_step(t)
-        return t // self.steps_per_level
+        if self.levels == 1:
+            betas = np.array([self.beta_min])
+        else:
+            ratio = self.beta_min / self.beta_max
+            betas = self.beta_max * ratio ** (np.arange(self.levels) / (self.levels - 1))
+        betas.flags.writeable = False
+        object.__setattr__(self, "betas", betas)
 
     def beta(self, t: int) -> float:
-        return float(self.betas()[self.level(t)])
+        """Noise level of step t; a step outside [0, steps) is a ValueError."""
+        if not 0 <= t < self.steps:
+            raise ValueError(f"step {t} outside [0, {self.steps})")
+        return float(self.betas[t // (self.steps // self.levels)])
 
-    def _check_step(self, t: int) -> None:
-        if not 0 <= t < self.total_steps:
-            raise ValueError(f"step {t} outside [0, {self.total_steps})")
-
-
-@functools.lru_cache(maxsize=128)
-def _geometric_betas(levels: int, beta_max: float, beta_min: float) -> np.ndarray:
-    # read-only: every equal schedule shares this cached array
-    if levels == 1:
-        betas = np.array([beta_min])
-    else:
-        betas = beta_max * (beta_min / beta_max) ** (np.arange(levels) / (levels - 1))
-    betas.flags.writeable = False
-    return betas
-
-
-def eta(schedule: NoiseSchedule, t: int) -> float:
-    """Langevin step size at step t: eps0 * (beta_t / beta_last)^2."""
-    beta_t = schedule.beta(t)
-    beta_last = float(schedule.betas()[-1])
-    return schedule.eps0 * (beta_t / beta_last) ** 2
+    def eta(self, t: int) -> float:
+        """Langevin step size at step t: eps0 * (beta_t / beta_last)^2."""
+        return self.eps0 * (self.beta(t) / float(self.betas[-1])) ** 2
 
 
 @dataclass(frozen=True)
@@ -89,17 +76,12 @@ class ScorePrior:
         if self.tau2 <= 0:
             raise ValueError(f"tau2 must be positive, got {self.tau2}")
 
-    @property
-    def total_steps(self) -> int:
-        return self.schedule.total_steps
-
 
 def score(prior: ScorePrior, x: np.ndarray, t: int) -> np.ndarray:
     """Evaluate the prior score at noise level t (acts on real and
     imaginary channels identically)."""
+    beta = prior.schedule.beta(t)
     x = np.asarray(x)
-    prior.schedule._check_step(t)
     if prior.mean is None:
         return np.zeros_like(x, dtype=np.complex128)
-    beta = prior.schedule.beta(t)
     return (prior.mean - x) / (prior.tau2 + beta * beta)

@@ -30,7 +30,7 @@ import numpy as np
 from . import metrics
 from .forward import ForwardModel, NormalOperator, apply_adjoint
 from .fourier import complex_normal, norm2, real_inner
-from .priors import ScorePrior, eta, score
+from .priors import ScorePrior, score
 from .sure import (
     EarlyStopConfig,
     NumericalError,
@@ -97,7 +97,7 @@ def _require_finite(value: float, what: str, method: str, t: int | None = None) 
 
 def langevin_step(x: np.ndarray, prior: ScorePrior, t: int, zeta: np.ndarray) -> np.ndarray:
     """One annealed Langevin step: x + eta_t * score + sqrt(2 eta_t) * zeta."""
-    et = eta(prior.schedule, t)
+    et = prior.schedule.eta(t)
     return x + et * score(prior, x, t) + math.sqrt(2.0 * et) * zeta
 
 
@@ -159,7 +159,7 @@ def csgm_step(
     model."""
     if x.shape != op.shape or x_zf.shape != op.shape:
         raise ValueError("x / x_zf shapes do not match the forward model")
-    et = eta(prior.schedule, t)
+    et = prior.schedule.eta(t)
     grad = score(prior, x, t) + (x_zf - op.gram(x))
     return x + et * grad + math.sqrt(2.0 * et) * zeta
 
@@ -193,7 +193,7 @@ def run_reconstruction(
     if cfg.method == "zero_filled":
         return ReconReport(final=x_zf)
 
-    total = prior.total_steps
+    total = prior.schedule.steps
     window = es.resolve_window(total)
     freeze = ttt.freeze_step(total)
     use_ttt = cfg.method == "smrd"

@@ -24,6 +24,7 @@ from smrd.config import (
 from smrd.forward import apply_adjoint, apply_forward
 from smrd.metrics import psnr
 from smrd.tensorfile import load_tensor, save_tensor
+from tests.test_tensorfile import MALFORMED
 
 FAST = [
     "--size", "32", "--coils", "2", "--levels", "10", "--steps", "30",
@@ -346,6 +347,15 @@ def test_recon_overflowing_dims_is_io_error(tmp_path, capsys):
     (out / "truth.smrd").write_bytes(header + struct.pack("<5I", 4, *(65536,) * 4))
     assert run_cli("recon", *FAST, "--method", "am_fixed", "--out", out) == EXIT_IO
     assert "truncated payload" in capsys.readouterr().err
+
+
+def test_recon_malformed_header_is_io_error(tmp_path, capsys):
+    out = tmp_path / "sim"
+    run_cli("simulate", *FAST, "--out", out)
+    for name, (blob, _, message) in MALFORMED.items():
+        (out / "truth.smrd").write_bytes(blob)
+        assert run_cli("recon", *FAST, "--method", "zero_filled", "--out", out) == EXIT_IO, name
+        assert message in capsys.readouterr().err, name
 
 
 def test_module_runs_as_a_script(tmp_path):

@@ -94,6 +94,12 @@ def test_library_defaults_are_the_clis():
     assert build_controller_configs(cfg) == (TttConfig(), EarlyStopConfig(), SureConfig())
 
 
+def test_defaults_read_from_components_keep_their_values():
+    cfg = ExperimentConfig()
+    assert (cfg.phantom, cfg.size, cfg.levels, cfg.steps, cfg.eps0, cfg.method, cfg.lambda0) == (
+        "shepp_logan", 64, 30, 300, 1.8e-6, "smrd", 2.0)
+
+
 def test_every_field_survives_text_round_trip():
     cfg = ExperimentConfig()
     back = parse_config_text(cfg.to_text())

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from smrd import forward
 from smrd.forward import (
     ForwardModel,
     NoiseSpec,
+    NormalOperator,
     SamplingMask,
     _dart_throw,
     add_kspace_noise,
@@ -310,6 +312,44 @@ def test_shape_mismatch_errors():
         apply_adjoint(fm, np.zeros((1, 4, 4)))
     with pytest.raises(ValueError):
         ForwardModel(sens=np.zeros((1, 4, 4)), mask=fm.mask)
+
+
+FULL_16 = SamplingMask(keep=np.ones((16, 16), dtype=bool), accel=1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_equispaced_mask(0, 16, 2.0), "mask dimensions must be positive"),
+    (lambda: make_equispaced_mask(16, 0, 2.0), "mask dimensions must be positive"),
+    (lambda: make_equispaced_mask(16, 16, 0.5), "acceleration must be >= 1, got 0.5"),
+    (lambda: make_equispaced_mask(16, 16, 2.0, -0.1), "acs_fraction must be in [0, 1), got -0.1"),
+    (lambda: make_equispaced_mask(16, 16, 2.0, 1.0), "acs_fraction must be in [0, 1), got 1.0"),
+    (lambda: make_equispaced_mask(64, 64, 8.0, 0.5),
+     "calibration region alone exceeds the sampling budget"),
+    (lambda: make_poisson_disc_mask(0, 32, 2.0), "mask dimensions must be positive"),
+    (lambda: make_poisson_disc_mask(32, 0, 2.0), "mask dimensions must be positive"),
+    (lambda: make_poisson_disc_mask(32, 32, 2.0, calib=-1), "calib must be in [0, min(h, w)], got -1"),
+    (lambda: make_poisson_disc_mask(32, 24, 2.0, calib=25), "calib must be in [0, min(h, w)], got 25"),
+    (lambda: add_kspace_noise(np.zeros((2, 8, 8), dtype=complex), FULL_16, NoiseSpec(sigma=0.1)),
+     "k-space shape (2, 8, 8) does not match mask (16, 16)"),
+    (lambda: ForwardModel(sens=np.ones((16, 16)), mask=FULL_16),
+     "sens must have shape (coils, h, w), got (16, 16)"),
+], ids=["eq-h0", "eq-w0", "eq-accel", "eq-acs-neg", "eq-acs-one", "eq-acs-budget",
+        "pd-h0", "pd-w0", "pd-calib-neg", "pd-calib-big", "noise-shape", "sens-2d"])
+def test_input_checks_raise_their_message(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_list_sens_builds_the_array_model():
+    mask = make_equispaced_mask(8, 8, 2.0, 0.0, seed=1)
+    sens = random_complex(np.random.default_rng(3), (2, 8, 8))
+    from_array = ForwardModel(sens=sens, mask=mask)
+    from_list = ForwardModel(sens=sens.tolist(), mask=mask)
+    assert isinstance(from_list.sens, np.ndarray)
+    y = random_complex(np.random.default_rng(4), (2, 8, 8))
+    z = random_complex(np.random.default_rng(5), (8, 8))
+    assert apply_adjoint(from_list, y).tobytes() == apply_adjoint(from_array, y).tobytes()
+    assert NormalOperator(from_list).gram(z).tobytes() == NormalOperator(from_array).gram(z).tobytes()
 
 
 # noise ------------------------------------------------------------------

@@ -1,44 +1,44 @@
 import numpy as np
 import pytest
 
-from smrd.priors import NoiseSchedule, ScorePrior, eta, score
+from smrd.priors import NoiseSchedule, ScorePrior, score
 
 
 def test_schedule_endpoints_and_monotonicity():
-    s = NoiseSchedule(levels=30, beta_max=1.0, beta_min=0.01, steps_per_level=10)
-    betas = s.betas()
+    s = NoiseSchedule(levels=30, steps=300, beta_max=1.0, beta_min=0.01)
+    betas = s.betas
     assert betas[0] == pytest.approx(1.0)
     assert betas[-1] == pytest.approx(0.01)
     assert (np.diff(betas) < 0).all()
-    etas = [eta(s, t) for t in range(s.total_steps)]
+    etas = [s.eta(t) for t in range(s.steps)]
     assert all(e > 0 for e in etas)
     assert all(b <= a for a, b in zip(etas, etas[1:]))
 
 
 def test_eta_last_level_is_eps0():
-    s = NoiseSchedule(levels=5, beta_max=1.0, beta_min=0.1, steps_per_level=3, eps0=7e-4)
-    assert eta(s, s.total_steps - 1) == pytest.approx(7e-4, rel=1e-12)
+    s = NoiseSchedule(levels=5, steps=15, beta_max=1.0, beta_min=0.1, eps0=7e-4)
+    assert s.eta(s.steps - 1) == pytest.approx(7e-4, rel=1e-12)
 
 
 def test_eta_closed_form_two_levels():
-    s = NoiseSchedule(levels=2, beta_max=1.0, beta_min=0.1, steps_per_level=4, eps0=1e-3)
-    assert eta(s, 0) == pytest.approx(0.1, rel=1e-12)  # 1e-3 * (1 / 0.01)
+    s = NoiseSchedule(levels=2, steps=8, beta_max=1.0, beta_min=0.1, eps0=1e-3)
+    assert s.eta(0) == pytest.approx(0.1, rel=1e-12)  # 1e-3 * (1 / 0.01)
 
 
-def test_cached_betas_are_read_only():
-    # equal schedules share one cached array; a write must not leak into them
+def test_betas_are_read_only():
+    s = NoiseSchedule()
     with pytest.raises(ValueError):
-        NoiseSchedule().betas()[0] = 99.0
-    assert eta(NoiseSchedule(), 0) == pytest.approx(0.2, rel=1e-12)
-    assert NoiseSchedule().betas()[0] == 1.0
+        s.betas[0] = 99.0
+    assert s.eta(0) == pytest.approx(0.2, rel=1e-12)
+    assert s.betas[0] == 1.0
 
 
 def test_eta_out_of_range():
-    s = NoiseSchedule(levels=2, steps_per_level=2)
+    s = NoiseSchedule(levels=2, steps=4)
     with pytest.raises(ValueError):
-        eta(s, 4)
+        s.eta(4)
     with pytest.raises(ValueError):
-        eta(s, -1)
+        s.eta(-1)
 
 
 def test_schedule_validation():
@@ -46,6 +46,22 @@ def test_schedule_validation():
         NoiseSchedule(beta_max=0.01, beta_min=0.01)
     with pytest.raises(ValueError):
         NoiseSchedule(eps0=0.0)
+
+
+@pytest.mark.parametrize("levels, steps", [(4, 10), (0, 300), (30, 0), (2, -2)])
+def test_schedule_steps_must_be_a_multiple_of_levels(levels, steps):
+    want = ("steps must be a positive multiple of levels >= 1, "
+            f"got steps={steps}, levels={levels}")
+    with pytest.raises(ValueError) as info:
+        NoiseSchedule(levels=levels, steps=steps)
+    assert str(info.value) == want
+
+
+def test_steps_run_levels_in_order():
+    # 3 levels of 2 steps each: beta steps down once every 2 steps
+    s = NoiseSchedule(levels=3, steps=6, beta_max=1.0, beta_min=0.25)
+    assert [s.beta(t) for t in range(6)] == [1.0, 1.0, 0.5, 0.5, 0.25, 0.25]
+    assert [s.eta(t) for t in range(6)] == [16 * s.eps0] * 2 + [4 * s.eps0] * 2 + [s.eps0] * 2
 
 
 def test_gaussian_score_vanishes_at_mean():
@@ -56,7 +72,7 @@ def test_gaussian_score_vanishes_at_mean():
 
 def test_gaussian_score_scalar_case():
     # mean 0, tau2 1, beta 1 at t=0, x = 2 -> (0 - 2) / (1 + 1) = -1
-    s = NoiseSchedule(levels=2, beta_max=1.0, beta_min=0.5, steps_per_level=1)
+    s = NoiseSchedule(levels=2, steps=2, beta_max=1.0, beta_min=0.5)
     prior = ScorePrior(schedule=s, mean=np.zeros((1, 1)), tau2=1.0)
     out = score(prior, np.array([[2.0 + 0.0j]]), 0)
     assert out[0, 0] == pytest.approx(-1.0)
@@ -85,18 +101,18 @@ def test_gaussian_fixed_point_is_mean():
     # noiseless Langevin iteration contracts to the prior mean
     rng = np.random.default_rng(2)
     mean = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    s = NoiseSchedule(levels=1, beta_max=1.0, beta_min=0.5, steps_per_level=400, eps0=0.3)
+    s = NoiseSchedule(levels=1, steps=400, beta_max=1.0, beta_min=0.5, eps0=0.3)
     prior = ScorePrior(schedule=s, mean=mean, tau2=0.75)
     x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    for t in range(s.total_steps):
-        x = x + eta(s, t) * score(prior, x, t)
+    for t in range(s.steps):
+        x = x + s.eta(t) * score(prior, x, t)
     assert np.max(np.abs(x - mean)) < 1e-10
 
 
 def test_score_rejects_bad_step():
     prior = ScorePrior()
     with pytest.raises(ValueError):
-        score(prior, np.zeros((4, 4)), prior.total_steps)
+        score(prior, np.zeros((4, 4)), prior.schedule.steps)
 
 
 def test_prior_validation():

@@ -20,7 +20,7 @@ from smrd.forward import (
 from smrd.fourier import real_inner
 from smrd.metrics import psnr
 from smrd.phantom import PhantomSpec, make_phantom, make_synth_coils
-from smrd.priors import NoiseSchedule, ScorePrior, eta, score
+from smrd.priors import NoiseSchedule, ScorePrior, score
 from smrd.sampler import (
     SamplerConfig,
     cg_solve,
@@ -78,7 +78,7 @@ def test_langevin_deterministic():
 
 def test_langevin_scalar_closed_form():
     # eta = 0.5, gaussian prior (mean 0, tau2 1, beta 1): 2 + 0.5 * (-1) = 1.5
-    sched = NoiseSchedule(levels=1, beta_max=2.0, beta_min=1.0, steps_per_level=1, eps0=0.5)
+    sched = NoiseSchedule(levels=1, steps=1, beta_max=2.0, beta_min=1.0, eps0=0.5)
     prior = ScorePrior(schedule=sched, mean=np.zeros((1, 1)), tau2=1.0)
     out = langevin_step(np.array([[2.0 + 0j]]), prior, 0, np.zeros((1, 1)))
     assert out[0, 0] == pytest.approx(1.5)
@@ -332,7 +332,7 @@ def test_csgm_step_is_bitwise_the_reference_formula(name):
     x_zf = apply_adjoint(fm, y)
     prior = ScorePrior(mean=np.zeros(fm.shape), tau2=1.0)
     t = 7
-    et = eta(prior.schedule, t)
+    et = prior.schedule.eta(t)
 
     def want(gram):
         grad = score(prior, x, t) + (x_zf - gram(fm, x))
@@ -460,7 +460,7 @@ def test_csgm_data_term_vanishes_on_consistent_iterate():
 def test_csgm_scalar_recursion():
     # full 1x1 mask, unit sens, zero noise: x + eta * (score + (y - x))
     fm = unit_model(1, 1)
-    sched = NoiseSchedule(levels=1, beta_max=2.0, beta_min=1.0, steps_per_level=1, eps0=0.25)
+    sched = NoiseSchedule(levels=1, steps=1, beta_max=2.0, beta_min=1.0, eps0=0.25)
     prior = ScorePrior(schedule=sched, mean=np.zeros((1, 1)), tau2=1.0)
     x = np.array([[2.0 + 0j]])
     y = np.array([[[1.0 + 0j]]])
@@ -500,7 +500,7 @@ def test_zero_filled_method():
 
 def test_large_window_never_stops():
     truth, fm, y, prior = small_setup()
-    total = prior.total_steps
+    total = prior.schedule.steps
     rep = run_reconstruction(
         y, fm, prior,
         SamplerConfig(method="smrd", seed=0),
@@ -549,7 +549,7 @@ def test_lambda_frozen_in_trace():
     ttt = TttConfig()
     rep = run_reconstruction(y, fm, prior, SamplerConfig(method="smrd", seed=12), ttt=ttt,
                              truth=truth)
-    freeze = ttt.freeze_step(prior.total_steps)
+    freeze = ttt.freeze_step(prior.schedule.steps)
     lams = [r.lam for r in rep.trace]
     frozen = lams[freeze:]
     assert all(v == frozen[0] for v in frozen)
@@ -573,7 +573,7 @@ def test_composite_step_contracts_on_full_mask():
     # affine in x_t with spectral radius < 1 on the fully sampled system
     h = w = 4
     fm = unit_model(h, w)
-    sched = NoiseSchedule(levels=2, beta_max=1.0, beta_min=0.5, steps_per_level=1, eps0=0.1)
+    sched = NoiseSchedule(levels=2, steps=2, beta_max=1.0, beta_min=0.5, eps0=0.1)
     prior = ScorePrior(schedule=sched, mean=np.zeros((h, w)), tau2=1.0)
     rng = np.random.default_rng(14)
     x_zf = random_complex(rng, (h, w))

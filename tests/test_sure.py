@@ -197,15 +197,28 @@ def test_grad_is_central_difference_of_mc_sure_bitwise():
 
 
 def test_grad_one_sided_at_bounds():
+    # where lam -/+ delta leaves [LAMBDA_MIN, LAMBDA_MAX], the gradient is
+    # exactly the one-sided difference of two same-seeded mc_sure values
     rng = np.random.default_rng(18)
     x_t = random_complex(rng, (4, 4))
     x_zf = random_complex(rng, (4, 4))
+    w = 1.0 + 0.1 * random_complex(rng, (4, 4))
 
     def h(v, lam):
-        return v * lam
+        return (x_zf + lam * w * v) / (1.0 + lam * np.abs(w))
 
-    g = grad_sure_lambda(h, x_t, x_zf, LAMBDA_MIN, SureConfig(), np.random.default_rng(19))
-    assert np.isfinite(g)
+    cfg = SureConfig(probes=2)
+    for seed in (19, 20):
+        def sure(lam):
+            return mc_sure(h, x_t, x_zf, lam, cfg, np.random.default_rng(seed))
+
+        def grad(lam):
+            return grad_sure_lambda(h, x_t, x_zf, lam, cfg, np.random.default_rng(seed))
+
+        delta_min = 1e-4  # max(1e-4, 1e-2 * LAMBDA_MIN): LAMBDA_MIN - delta < LAMBDA_MIN
+        assert grad(LAMBDA_MIN) == (sure(LAMBDA_MIN + delta_min) - sure(LAMBDA_MIN)) / delta_min
+        delta_max = 1e-2 * LAMBDA_MAX  # LAMBDA_MAX + delta > LAMBDA_MAX
+        assert grad(LAMBDA_MAX) == (sure(LAMBDA_MAX) - sure(LAMBDA_MAX - delta_max)) / delta_max
 
 
 # update_lambda ----------------------------------------------------------

@@ -81,6 +81,27 @@ def test_unknown_dtype_tag(tmp_path):
         load_tensor(path)
 
 
+# header faults load_tensor rejects before reading a payload: (blob, error class, message)
+MALFORMED = {
+    "shorter-than-magic": (b"SM", TruncatedPayloadError, "file shorter than the magic bytes"),
+    "truncated-header": (MAGIC + struct.pack("<2I", 1, 1), TruncatedPayloadError, "truncated header"),
+    "unsupported-version": (MAGIC + struct.pack("<4I", 2, 1, 1, 1) + bytes(16), TensorFileError,
+                            "unsupported version 2"),
+    "truncated-dims": (MAGIC + struct.pack("<4I", 1, 1, 3, 4), TruncatedPayloadError, "truncated dims"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_header_rejected(tmp_path, name):
+    blob, error, message = MALFORMED[name]
+    path = tmp_path / "t.smrd"
+    path.write_bytes(blob)
+    with pytest.raises(TensorFileError) as info:
+        load_tensor(path)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_unsupported_save_dtype(tmp_path):
     with pytest.raises(UnknownDtypeError):
         save_tensor(tmp_path / "t.smrd", np.zeros(3, dtype=np.float32))
