@@ -42,13 +42,6 @@ from .sure import (
     sure_known_sigma,
     update_lambda,
 )
-from .tensorfile import (
-    BadMagicError,
-    TensorFileError,
-    TruncatedPayloadError,
-    UnknownDtypeError,
-    load_tensor,
-    save_tensor,
-)
+from .tensorfile import TensorFileError, load_tensor, save_tensor
 
 __version__ = "0.1.0"

@@ -52,7 +52,9 @@ class SamplingMask:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Measurement-noise model: per-component Gaussian std and a seed."""
+    """Measurement-noise model: Gaussian std `sigma` and a seed. The package's
+    one sigma convention: sigma is the std of the real and of the imaginary
+    part of a noise entry, so the entry's complex variance E|n|^2 is 2 sigma^2."""
 
     sigma: float
     seed: int = 0
@@ -245,7 +247,7 @@ def _dart_throw(order: np.ndarray, radii: np.ndarray, h: int, w: int) -> np.ndar
 
 
 def make_poisson_disc_mask(
-    h: int, w: int, accel: float, calib: int = 16, seed: int = 0
+    h: int, w: int, accel: float, calib: int, seed: int = 0
 ) -> SamplingMask:
     """Variable-density Poisson disc undersampling with a calib x calib
     fully sampled center block.
@@ -378,9 +380,9 @@ class NormalOperator:
 
 
 def add_kspace_noise(y: np.ndarray, mask: SamplingMask, spec: NoiseSpec) -> np.ndarray:
-    """Add complex Gaussian noise (std `spec.sigma` per real/imag component)
-    at kept k-space locations only. Noise streams are derived from
-    (seed, coil index), so per-coil generation order never matters."""
+    """Add complex Gaussian noise of std `spec.sigma` (per component, see
+    `NoiseSpec`) at kept k-space locations only. Noise streams are derived
+    from (seed, coil index), so per-coil generation order never matters."""
     y = np.asarray(y)
     if y.shape[-2:] != mask.shape:
         raise ValueError(f"k-space shape {y.shape} does not match mask {mask.shape}")

@@ -9,7 +9,8 @@ consistency plus noise.
 
 `NoiseSchedule(levels, steps, eps0)` owns step timing: step t of `steps`
 reads its noise level from `schedule.beta(t)` and its Langevin step size
-from `schedule.eta(t)`.
+from `schedule.eta(t)`. Its noise levels fall geometrically from the
+module constants `BETA_MAX` to `BETA_MIN`.
 """
 
 from __future__ import annotations
@@ -18,22 +19,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA_MAX = 1.0  # noise level of a schedule's first level
+BETA_MIN = 0.003  # and of its last
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Geometric noise levels beta and Langevin step sizes eta over `steps`.
 
-    betas[l] = beta_max * (beta_min / beta_max)^(l / (levels - 1)) for level
-    l = 0..levels-1 (strictly decreasing, read-only). `steps` is a multiple
-    of `levels` and each level runs steps // levels of them, so step t has
-    beta_t = betas[t // (steps // levels)] and
-    eta_t = eps0 * beta_t^2 / betas[-1]^2.
+    betas[l] = BETA_MAX * (BETA_MIN / BETA_MAX)^(l / (levels - 1)) for level
+    l = 0..levels-1 (strictly decreasing, read-only; [BETA_MIN] for one
+    level). `steps` is a multiple of `levels` and each level runs
+    steps // levels of them, so step t has beta_t = betas[t // (steps //
+    levels)] and eta_t = eps0 * beta_t^2 / betas[-1]^2.
     """
 
     levels: int = 30
     steps: int = 300
-    beta_max: float = 1.0
-    beta_min: float = 0.003
     eps0: float = 1.8e-6
     betas: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -41,15 +43,13 @@ class NoiseSchedule:
         if self.levels < 1 or self.steps < 1 or self.steps % self.levels:
             raise ValueError("steps must be a positive multiple of levels >= 1, "
                              f"got steps={self.steps}, levels={self.levels}")
-        if not 0 < self.beta_min < self.beta_max:
-            raise ValueError("need 0 < beta_min < beta_max")
         if self.eps0 <= 0:
             raise ValueError("eps0 must be positive")
         if self.levels == 1:
-            betas = np.array([self.beta_min])
+            betas = np.array([BETA_MIN])
         else:
-            ratio = self.beta_min / self.beta_max
-            betas = self.beta_max * ratio ** (np.arange(self.levels) / (self.levels - 1))
+            ratio = BETA_MIN / BETA_MAX
+            betas = BETA_MAX * ratio ** (np.arange(self.levels) / (self.levels - 1))
         betas.flags.writeable = False
         object.__setattr__(self, "betas", betas)
 

@@ -14,8 +14,9 @@ caller freezes the Langevin noise so both evaluations walk the same path
 and the difference isolates the probe.
 
 `sure_known_sigma` is the known-variance form kept for unbiasedness
-oracles; it is not used by the sampling loop. Its conventions: sigma^2 is
-the per-entry complex noise variance (E|z_i|^2) and `divergence` is the
+oracles; it is not used by the sampling loop. Its conventions: its
+sigma^2 is the per-entry complex noise variance E|z_i|^2, which is 2 sigma^2
+for a `forward.NoiseSpec` sigma (see its docstring), and `divergence` is the
 Jacobian trace over real and imaginary coordinates (identity map -> 2N).
 """
 

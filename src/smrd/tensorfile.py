@@ -6,7 +6,9 @@ Layout (all integers little-endian u32):
 
 Payload is row-major little-endian. Dtype tags: 0 = complex64 (f32 pairs),
 1 = complex128 (f64 pairs), 2 = u8. Round trips are bit-exact; loading
-validates magic, version, dtype and payload length with distinct errors.
+validates magic, version, dtype and payload length. Every fault raises one
+`TensorFileError` whose message names the file and the fault, e.g.
+"run/truth.smrd: truncated header".
 """
 
 from __future__ import annotations
@@ -25,19 +27,7 @@ _KIND_TO_TAG = {("c", 8): 0, ("c", 16): 1, ("u", 1): 2}
 
 
 class TensorFileError(Exception):
-    """Base error for tensor container problems."""
-
-
-class BadMagicError(TensorFileError):
-    pass
-
-
-class TruncatedPayloadError(TensorFileError):
-    pass
-
-
-class UnknownDtypeError(TensorFileError):
-    pass
+    """A tensor file that cannot be read or written; the message starts with its path."""
 
 
 def atomic_write(path, data: str | bytes) -> None:
@@ -56,7 +46,7 @@ def save_tensor(path, data: np.ndarray) -> None:
     data = np.asarray(data)
     tag = _KIND_TO_TAG.get((data.dtype.kind, data.dtype.itemsize))
     if tag is None:
-        raise UnknownDtypeError(f"unsupported dtype {data.dtype}")
+        raise TensorFileError(f"{path}: unsupported dtype {data.dtype}")
     dims = data.shape if data.ndim else (1,)
     header = MAGIC + struct.pack("<III", VERSION, tag, len(dims))
     header += struct.pack(f"<{len(dims)}I", *dims)
@@ -69,27 +59,27 @@ def load_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4:
-        raise TruncatedPayloadError("file shorter than the magic bytes")
+        raise TensorFileError(f"{path}: file shorter than the magic bytes")
     if blob[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {blob[:4]!r}")
+        raise TensorFileError(f"{path}: bad magic {blob[:4]!r}")
     if len(blob) < 16:
-        raise TruncatedPayloadError("truncated header")
+        raise TensorFileError(f"{path}: truncated header")
     version, tag, rank = struct.unpack("<III", blob[4:16])
     if version != VERSION:
-        raise TensorFileError(f"unsupported version {version}")
+        raise TensorFileError(f"{path}: unsupported version {version}")
     if tag not in _TAG_TO_DTYPE:
-        raise UnknownDtypeError(f"unknown dtype tag {tag}")
+        raise TensorFileError(f"{path}: unknown dtype tag {tag}")
     dims_end = 16 + 4 * rank
     if len(blob) < dims_end:
-        raise TruncatedPayloadError("truncated dims")
+        raise TensorFileError(f"{path}: truncated dims")
     dims = struct.unpack(f"<{rank}I", blob[16:dims_end])
     dtype = _TAG_TO_DTYPE[tag]
     expected = math.prod(dims) * dtype.itemsize  # Python ints: no wraparound
     payload = blob[dims_end:]
     if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"truncated payload: expected {expected} bytes, got {len(payload)}"
+        raise TensorFileError(
+            f"{path}: truncated payload: expected {expected} bytes, got {len(payload)}"
         )
     if len(payload) > expected:
-        raise TensorFileError(f"trailing bytes: expected {expected}, got {len(payload)}")
+        raise TensorFileError(f"{path}: trailing bytes: expected {expected}, got {len(payload)}")
     return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()

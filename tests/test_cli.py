@@ -350,12 +350,17 @@ def test_recon_overflowing_dims_is_io_error(tmp_path, capsys):
 
 
 def test_recon_malformed_header_is_io_error(tmp_path, capsys):
+    # every header fault in every input exits 3 with a message naming that file
     out = tmp_path / "sim"
     run_cli("simulate", *FAST, "--out", out)
-    for name, (blob, _, message) in MALFORMED.items():
-        (out / "truth.smrd").write_bytes(blob)
-        assert run_cli("recon", *FAST, "--method", "zero_filled", "--out", out) == EXIT_IO, name
-        assert message in capsys.readouterr().err, name
+    for name in ("truth", "coils", "mask", "kspace"):
+        path = out / f"{name}.smrd"
+        good = path.read_bytes()
+        for fault, (blob, message) in MALFORMED.items():
+            path.write_bytes(blob)
+            assert run_cli("recon", *FAST, "--method", "zero_filled", "--out", out) == EXIT_IO
+            assert capsys.readouterr().err == f"error: {path}: {message}\n", (name, fault)
+        path.write_bytes(good)
 
 
 def test_module_runs_as_a_script(tmp_path):

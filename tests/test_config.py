@@ -98,6 +98,7 @@ def test_defaults_read_from_components_keep_their_values():
     cfg = ExperimentConfig()
     assert (cfg.phantom, cfg.size, cfg.levels, cfg.steps, cfg.eps0, cfg.method, cfg.lambda0) == (
         "shepp_logan", 64, 30, 300, 1.8e-6, "smrd", 2.0)
+    assert cfg.calib == 16  # the one Poisson calibration default; the mask generator has none
 
 
 def test_every_field_survives_text_round_trip():

@@ -325,8 +325,8 @@ FULL_16 = SamplingMask(keep=np.ones((16, 16), dtype=bool), accel=1.0)
     (lambda: make_equispaced_mask(16, 16, 2.0, 1.0), "acs_fraction must be in [0, 1), got 1.0"),
     (lambda: make_equispaced_mask(64, 64, 8.0, 0.5),
      "calibration region alone exceeds the sampling budget"),
-    (lambda: make_poisson_disc_mask(0, 32, 2.0), "mask dimensions must be positive"),
-    (lambda: make_poisson_disc_mask(32, 0, 2.0), "mask dimensions must be positive"),
+    (lambda: make_poisson_disc_mask(0, 32, 2.0, 8), "mask dimensions must be positive"),
+    (lambda: make_poisson_disc_mask(32, 0, 2.0, 8), "mask dimensions must be positive"),
     (lambda: make_poisson_disc_mask(32, 32, 2.0, calib=-1), "calib must be in [0, min(h, w)], got -1"),
     (lambda: make_poisson_disc_mask(32, 24, 2.0, calib=25), "calib must be in [0, min(h, w)], got 25"),
     (lambda: add_kspace_noise(np.zeros((2, 8, 8), dtype=complex), FULL_16, NoiseSpec(sigma=0.1)),

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from smrd.priors import NoiseSchedule, ScorePrior, score
+from smrd.priors import BETA_MAX, BETA_MIN, NoiseSchedule, ScorePrior, score
 
 
 def test_schedule_endpoints_and_monotonicity():
-    s = NoiseSchedule(levels=30, steps=300, beta_max=1.0, beta_min=0.01)
+    s = NoiseSchedule(levels=30, steps=300)
     betas = s.betas
-    assert betas[0] == pytest.approx(1.0)
-    assert betas[-1] == pytest.approx(0.01)
+    assert betas[0] == BETA_MAX == 1.0
+    assert betas[-1] == pytest.approx(BETA_MIN, rel=1e-12)
+    assert BETA_MIN == 0.003
     assert (np.diff(betas) < 0).all()
     etas = [s.eta(t) for t in range(s.steps)]
     assert all(e > 0 for e in etas)
@@ -16,13 +17,14 @@ def test_schedule_endpoints_and_monotonicity():
 
 
 def test_eta_last_level_is_eps0():
-    s = NoiseSchedule(levels=5, steps=15, beta_max=1.0, beta_min=0.1, eps0=7e-4)
+    s = NoiseSchedule(levels=5, steps=15, eps0=7e-4)
     assert s.eta(s.steps - 1) == pytest.approx(7e-4, rel=1e-12)
 
 
 def test_eta_closed_form_two_levels():
-    s = NoiseSchedule(levels=2, steps=8, beta_max=1.0, beta_min=0.1, eps0=1e-3)
-    assert s.eta(0) == pytest.approx(0.1, rel=1e-12)  # 1e-3 * (1 / 0.01)
+    s = NoiseSchedule(levels=2, steps=8, eps0=1e-3)
+    assert s.eta(0) == pytest.approx(1e-3 / 0.003**2, rel=1e-12)  # eps0 * (1 / 0.003)^2
+    assert s.eta(4) == 1e-3
 
 
 def test_betas_are_read_only():
@@ -43,8 +45,6 @@ def test_eta_out_of_range():
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        NoiseSchedule(beta_max=0.01, beta_min=0.01)
-    with pytest.raises(ValueError):
         NoiseSchedule(eps0=0.0)
 
 
@@ -58,10 +58,12 @@ def test_schedule_steps_must_be_a_multiple_of_levels(levels, steps):
 
 
 def test_steps_run_levels_in_order():
-    # 3 levels of 2 steps each: beta steps down once every 2 steps
-    s = NoiseSchedule(levels=3, steps=6, beta_max=1.0, beta_min=0.25)
-    assert [s.beta(t) for t in range(6)] == [1.0, 1.0, 0.5, 0.5, 0.25, 0.25]
-    assert [s.eta(t) for t in range(6)] == [16 * s.eps0] * 2 + [4 * s.eps0] * 2 + [s.eps0] * 2
+    # 3 levels of 2 steps each: beta steps down once every 2 steps, by sqrt(0.003)
+    s = NoiseSchedule(levels=3, steps=6)
+    assert s.betas == pytest.approx([1.0, 0.003**0.5, 0.003], rel=1e-12)
+    assert [s.beta(t) for t in range(6)] == [float(b) for b in s.betas for _ in range(2)]
+    want = [s.eps0 / 0.003**2] * 2 + [s.eps0 / 0.003] * 2 + [s.eps0] * 2
+    assert [s.eta(t) for t in range(6)] == pytest.approx(want, rel=1e-12)
 
 
 def test_gaussian_score_vanishes_at_mean():
@@ -72,7 +74,7 @@ def test_gaussian_score_vanishes_at_mean():
 
 def test_gaussian_score_scalar_case():
     # mean 0, tau2 1, beta 1 at t=0, x = 2 -> (0 - 2) / (1 + 1) = -1
-    s = NoiseSchedule(levels=2, steps=2, beta_max=1.0, beta_min=0.5)
+    s = NoiseSchedule(levels=2, steps=2)
     prior = ScorePrior(schedule=s, mean=np.zeros((1, 1)), tau2=1.0)
     out = score(prior, np.array([[2.0 + 0.0j]]), 0)
     assert out[0, 0] == pytest.approx(-1.0)
@@ -101,7 +103,7 @@ def test_gaussian_fixed_point_is_mean():
     # noiseless Langevin iteration contracts to the prior mean
     rng = np.random.default_rng(2)
     mean = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    s = NoiseSchedule(levels=1, steps=400, beta_max=1.0, beta_min=0.5, eps0=0.3)
+    s = NoiseSchedule(levels=1, steps=400, eps0=0.3)
     prior = ScorePrior(schedule=s, mean=mean, tau2=0.75)
     x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     for t in range(s.steps):

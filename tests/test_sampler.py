@@ -20,7 +20,7 @@ from smrd.forward import (
 from smrd.fourier import real_inner
 from smrd.metrics import psnr
 from smrd.phantom import PhantomSpec, make_phantom, make_synth_coils
-from smrd.priors import NoiseSchedule, ScorePrior, score
+from smrd.priors import BETA_MIN, NoiseSchedule, ScorePrior, score
 from smrd.sampler import (
     SamplerConfig,
     cg_solve,
@@ -78,7 +78,8 @@ def test_langevin_deterministic():
 
 def test_langevin_scalar_closed_form():
     # eta = 0.5, gaussian prior (mean 0, tau2 1, beta 1): 2 + 0.5 * (-1) = 1.5
-    sched = NoiseSchedule(levels=1, steps=1, beta_max=2.0, beta_min=1.0, eps0=0.5)
+    # step 0 of two levels: beta = BETA_MAX = 1, eta = eps0 / BETA_MIN^2
+    sched = NoiseSchedule(levels=2, steps=2, eps0=0.5 * BETA_MIN**2)
     prior = ScorePrior(schedule=sched, mean=np.zeros((1, 1)), tau2=1.0)
     out = langevin_step(np.array([[2.0 + 0j]]), prior, 0, np.zeros((1, 1)))
     assert out[0, 0] == pytest.approx(1.5)
@@ -460,7 +461,7 @@ def test_csgm_data_term_vanishes_on_consistent_iterate():
 def test_csgm_scalar_recursion():
     # full 1x1 mask, unit sens, zero noise: x + eta * (score + (y - x))
     fm = unit_model(1, 1)
-    sched = NoiseSchedule(levels=1, steps=1, beta_max=2.0, beta_min=1.0, eps0=0.25)
+    sched = NoiseSchedule(levels=2, steps=2, eps0=0.25 * BETA_MIN**2)  # eta_0 = 0.25, beta_0 = 1
     prior = ScorePrior(schedule=sched, mean=np.zeros((1, 1)), tau2=1.0)
     x = np.array([[2.0 + 0j]])
     y = np.array([[[1.0 + 0j]]])
@@ -573,7 +574,7 @@ def test_composite_step_contracts_on_full_mask():
     # affine in x_t with spectral radius < 1 on the fully sampled system
     h = w = 4
     fm = unit_model(h, w)
-    sched = NoiseSchedule(levels=2, steps=2, beta_max=1.0, beta_min=0.5, eps0=0.1)
+    sched = NoiseSchedule(levels=2, steps=2, eps0=0.4 * BETA_MIN**2)  # eta_0 = 0.4, beta_0 = 1
     prior = ScorePrior(schedule=sched, mean=np.zeros((h, w)), tau2=1.0)
     rng = np.random.default_rng(14)
     x_zf = random_complex(rng, (h, w))

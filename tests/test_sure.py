@@ -55,7 +55,7 @@ def test_mc_sure_divergence_matches_materialized_trace():
     x_zf = random_complex(rng, (16, 16))
 
     def h(v, lam):
-        return (w @ v.ravel()).reshape(v.shape)
+        return np.einsum("ij,j->i", w, v.ravel()).reshape(v.shape)  # numpy's loops, no BLAS threads
 
     cfg = SureConfig(probes=10_000)
     val = mc_sure(h, x_t, x_zf, 1.0, cfg, np.random.default_rng(5))
@@ -71,7 +71,7 @@ def test_mc_sure_probe_batches_agree():
     x_zf = random_complex(rng, (16, 16))
 
     def h(v, lam):
-        return (w @ v.ravel()).reshape(v.shape)
+        return np.einsum("ij,j->i", w, v.ravel()).reshape(v.shape)  # numpy's loops, no BLAS threads
 
     cfg = SureConfig(probes=10_000)
     a = mc_sure(h, x_t, x_zf, 1.0, cfg, np.random.default_rng(100))

@@ -3,15 +3,14 @@ import struct
 import numpy as np
 import pytest
 
-from smrd.tensorfile import (
-    MAGIC,
-    BadMagicError,
-    TensorFileError,
-    TruncatedPayloadError,
-    UnknownDtypeError,
-    load_tensor,
-    save_tensor,
-)
+from smrd.tensorfile import MAGIC, TensorFileError, load_tensor, save_tensor
+
+
+def raises_naming(path, fault, call, *args):
+    """`call(*args)` raises a TensorFileError reading exactly "<path>: <fault>"."""
+    with pytest.raises(TensorFileError) as info:
+        call(*args)
+    assert str(info.value) == f"{path}: {fault}"
 
 
 def test_round_trip_complex128(tmp_path):
@@ -42,8 +41,7 @@ def test_round_trip_u8_mask(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.smrd"
     path.write_bytes(b"XXXX" + bytes(32))
-    with pytest.raises(BadMagicError):
-        load_tensor(path)
+    raises_naming(path, "bad magic b'XXXX'", load_tensor, path)
 
 
 def test_truncated_payload(tmp_path):
@@ -51,24 +49,22 @@ def test_truncated_payload(tmp_path):
     save_tensor(path, np.zeros((4, 4), dtype=np.complex128))
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
-    with pytest.raises(TruncatedPayloadError):
-        load_tensor(path)
+    raises_naming(path, "truncated payload: expected 256 bytes, got 248", load_tensor, path)
 
 
 def test_overflowing_dims_are_a_truncated_payload(tmp_path):
     # 65536**4 elements wrap to 0 in int64; the size must not wrap
     path = tmp_path / "t.smrd"
     path.write_bytes(MAGIC + struct.pack("<7I", 1, 1, 4, *(65536,) * 4))
-    with pytest.raises(TruncatedPayloadError):
-        load_tensor(path)
+    fault = f"truncated payload: expected {16 * 65536**4} bytes, got 0"
+    raises_naming(path, fault, load_tensor, path)
 
 
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "t.smrd"
     save_tensor(path, np.zeros((2, 2), dtype=np.uint8))
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(TensorFileError):
-        load_tensor(path)
+    raises_naming(path, "trailing bytes: expected 4, got 5", load_tensor, path)
 
 
 def test_unknown_dtype_tag(tmp_path):
@@ -77,34 +73,32 @@ def test_unknown_dtype_tag(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[8] = 99  # dtype tag field
     path.write_bytes(bytes(blob))
-    with pytest.raises(UnknownDtypeError):
-        load_tensor(path)
+    raises_naming(path, "unknown dtype tag 99", load_tensor, path)
 
 
-# header faults load_tensor rejects before reading a payload: (blob, error class, message)
+# header faults load_tensor rejects before reading a payload: (blob, fault after the path)
 MALFORMED = {
-    "shorter-than-magic": (b"SM", TruncatedPayloadError, "file shorter than the magic bytes"),
-    "truncated-header": (MAGIC + struct.pack("<2I", 1, 1), TruncatedPayloadError, "truncated header"),
-    "unsupported-version": (MAGIC + struct.pack("<4I", 2, 1, 1, 1) + bytes(16), TensorFileError,
+    "shorter-than-magic": (b"SM", "file shorter than the magic bytes"),
+    "truncated-header": (MAGIC + struct.pack("<2I", 1, 1), "truncated header"),
+    "unsupported-version": (MAGIC + struct.pack("<4I", 2, 1, 1, 1) + bytes(16),
                             "unsupported version 2"),
-    "truncated-dims": (MAGIC + struct.pack("<4I", 1, 1, 3, 4), TruncatedPayloadError, "truncated dims"),
+    "truncated-dims": (MAGIC + struct.pack("<4I", 1, 1, 3, 4), "truncated dims"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_header_rejected(tmp_path, name):
-    blob, error, message = MALFORMED[name]
+    blob, fault = MALFORMED[name]
     path = tmp_path / "t.smrd"
     path.write_bytes(blob)
-    with pytest.raises(TensorFileError) as info:
-        load_tensor(path)
-    assert type(info.value) is error
-    assert str(info.value) == message
+    raises_naming(path, fault, load_tensor, path)
 
 
 def test_unsupported_save_dtype(tmp_path):
-    with pytest.raises(UnknownDtypeError):
-        save_tensor(tmp_path / "t.smrd", np.zeros(3, dtype=np.float32))
+    path = tmp_path / "t.smrd"
+    data = np.zeros(3, dtype=np.float32)
+    raises_naming(path, "unsupported dtype float32", save_tensor, path, data)
+    assert not path.exists()
 
 
 def test_header_layout(tmp_path):
