@@ -9,7 +9,9 @@ centered orthonormal FFT and a binary k-space sampling mask:
 `apply_forward` and `apply_adjoint` are the out-of-place reference
 operators. `NormalOperator` prepares their composition A^H A once per
 reconstruction: one in-place apply, with the reference operators'
-operand order, that both update rules share (see its docstring).
+operand order, that both update rules share. F^H M F acts only along
+the axes where the mask varies, so a column mask's apply runs 1D FFTs
+along the last axis and none along the first (see its docstring).
 
 Mask generators acquire an optional fully sampled calibration region and
 keep the realized acceleration within 10% of the request. Measurement
@@ -341,19 +343,29 @@ class NormalOperator:
 
     F^H M F is a circular convolution, so it commutes with circular shifts
     and the centering shifts of `fft2c` and `ifft2c` cancel around it: an
-    apply is `sum_c conj(S_c) * ifft2(M' * fft2(S_c * z))`, with `M'` the
+    apply is `sum_c conj(S_c) * ifft(M' * fft(S_c * z))`, with `M'` the
     mask shifted once, here, and images in the reference operators' order.
+
+    A mask that is constant along an axis is separable: a column mask is
+    `M = 1_h (x) m_w`, so `F^H M F = I (x) F_w^H diag(m_w) F_w` and the
+    transform along axis -2 cancels exactly. So both transforms run only
+    along `axes`, the axes along which the mask varies: `(-1,)` for a column
+    mask, `(-2, -1)` for a Poisson disc mask. `keep` holds the shifted mask
+    reduced to those axes, e.g. (1, w), and broadcasts over the others. A
+    mask constant along both axes (fully sampled or empty) keeps both
+    transforms, so its apply keeps the reference operators' bits.
+
     Each apply runs in one complex (coils, h, w) work array and allocates
-    only its (h, w) result. The inverse FFT is `ifftn` over the last two
-    axes because numpy 2.4's `ifft2` ignores `out=`. The mask stays bool:
-    each product casts it exactly as the reference operators do, and a
-    complex copy would hold 16 bytes per pixel for nothing.
+    only its (h, w) result. The forward transform is `fft2` over `axes`; the
+    inverse is `ifftn` because numpy 2.4's `ifft2` ignores `out=`. The mask
+    stays bool: each product casts it exactly as the reference operators
+    do, and a complex copy would hold 16 bytes per pixel for nothing.
 
     numpy's SIMD complex product is not bitwise commutative, so every
     product keeps the reference operators' operand order: `sens * z`,
-    `(.) * mask`, then `conj(sens) * (.)`. `gram(z)` is bitwise
-    `apply_adjoint(fm, apply_forward(fm, z))` at power-of-two sizes and
-    agrees with it to rounding at the others.
+    `(.) * mask`, then `conj(sens) * (.)`. When both axes are transformed,
+    `gram(z)` is bitwise `apply_adjoint(fm, apply_forward(fm, z))` at
+    power-of-two sizes; otherwise it agrees with it to rounding.
 
     Build one per reconstruction and let it go with the run: it holds the
     conjugate coil stack, and caching it on a `ForwardModel` would keep it
@@ -365,16 +377,19 @@ class NormalOperator:
         self.shape = fm.shape
         self.sens = fm.sens
         self.sens_h = np.conj(fm.sens)
-        self.keep = np.fft.ifftshift(fm.mask.keep)
+        keep = np.fft.ifftshift(fm.mask.keep)
+        varies = tuple(ax for ax in (-2, -1) if (keep != keep.take([0], axis=ax)).any())
+        self.axes = varies or (-2, -1)
+        self.keep = keep[tuple(slice(None) if ax in self.axes else slice(1) for ax in (-2, -1))]
         self.work = np.empty(fm.sens.shape, dtype=np.complex128)
 
     def gram(self, z: np.ndarray) -> np.ndarray:
         """A^H A z for an (h, w) image z; returns a new array."""
         work = self.work
         np.multiply(self.sens, z, out=work)
-        np.fft.fft2(work, norm="ortho", out=work)
+        np.fft.fft2(work, axes=self.axes, norm="ortho", out=work)
         np.multiply(work, self.keep, out=work)
-        np.fft.ifftn(work, axes=(-2, -1), norm="ortho", out=work)
+        np.fft.ifftn(work, axes=self.axes, norm="ortho", out=work)
         np.multiply(self.sens_h, work, out=work)
         return np.sum(work, axis=0)
 

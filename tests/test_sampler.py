@@ -140,12 +140,20 @@ def _odd_random_mask_model():
     return ForwardModel(sens=make_synth_coils(h, w, 3, 2), mask=SamplingMask(keep=keep, accel=2.5))
 
 
+def _odd_column_mask_model():
+    h, w = 15, 17
+    cols = np.random.default_rng(12).random(w) < 0.4
+    keep = np.broadcast_to(cols, (h, w)).copy()
+    return ForwardModel(sens=make_synth_coils(h, w, 3, 3), mask=SamplingMask(keep=keep, accel=2.5))
+
+
 CG_MODELS = {
     "equispaced_64x64x4": lambda: ForwardModel(
         sens=make_synth_coils(64, 64, 4, 0), mask=make_equispaced_mask(64, 64, 4.0, 0.08, 1)),
     "poisson_32x32x2": lambda: ForwardModel(
         sens=make_synth_coils(32, 32, 2, 0), mask=make_poisson_disc_mask(32, 32, 4.0, 8, 1)),
     "random_15x17x3": _odd_random_mask_model,
+    "column_15x17x3": _odd_column_mask_model,
 }
 
 # the bitwise guards also run at the largest benchmark size
@@ -153,33 +161,46 @@ BITWISE_MODELS = {
     **CG_MODELS,
     "poisson_128x128x4": lambda: ForwardModel(
         sens=make_synth_coils(128, 128, 4, 0), mask=make_poisson_disc_mask(128, 128, 4.0, 16, 1)),
+    "equispaced_128x128x4": lambda: ForwardModel(
+        sens=make_synth_coils(128, 128, 4, 0), mask=make_equispaced_mask(128, 128, 4.0, 0.08, 1)),
 }
 
 
-# the sizes where the shift-free apply and the reference composition differ in rounding
-ODD_MODELS = {"random_15x17x3"}
+# the models where the operator's apply and the reference composition differ
+# in rounding: odd sizes, and column masks, whose apply transforms one axis
+ROUNDING_MODELS = {"random_15x17x3", "column_15x17x3", "equispaced_64x64x4",
+                   "equispaced_128x128x4"}
 
 
 def reference_gram(fm, v):
     return apply_adjoint(fm, apply_forward(fm, v))
 
 
+def transform_axes(keep):
+    """The image axes along which a mask is not constant; both axes for a
+    constant (fully sampled or empty) mask."""
+    return tuple(ax for ax in (-2, -1) if not (keep == keep.take([0], axis=ax)).all()) or (-2, -1)
+
+
 def shift_free_gram(fm, v):
-    """sum_c conj(S_c) * ifft2(M' * fft2(S_c * v)) out of place, with M' the
-    mask shifted once: the formula `NormalOperator.gram` applies in place."""
+    """sum_c conj(S_c) * ifft(M' * fft(S_c * v)) out of place, with M' the
+    mask shifted once and both transforms along the axes where the mask
+    varies: the formula `NormalOperator.gram` applies in place."""
     keep = np.fft.ifftshift(fm.mask.keep)
-    kspace = np.fft.fft2(fm.sens * v, norm="ortho") * keep
-    return np.sum(np.conj(fm.sens) * np.fft.ifft2(kspace, norm="ortho"), axis=0)
+    axes = transform_axes(keep)
+    kspace = np.fft.fft2(fm.sens * v, axes=axes, norm="ortho") * keep
+    return np.sum(np.conj(fm.sens) * np.fft.ifftn(kspace, axes=axes, norm="ortho"), axis=0)
 
 
 def assert_matches_references(name, got, build):
     """`build(gram)` computes the expected result from an out-of-place Gram
     apply. `got` is bitwise the shift-free formula's result on every model and
-    the reference composition's on power-of-two models; on the others it
-    agrees with the reference composition to 1e-14 relative (max-abs)."""
+    the reference composition's on the models that transform both axes at a
+    power-of-two size; on the others it agrees with the reference composition
+    to 1e-14 relative (max-abs)."""
     assert np.array_equal(got, build(shift_free_gram))
     want = build(reference_gram)
-    if name in ODD_MODELS:
+    if name in ROUNDING_MODELS:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     else:
         assert np.array_equal(got, want)
@@ -382,6 +403,64 @@ def test_operator_leaves_inputs_alone_and_returns_its_own_arrays(name):
     for got in results:
         for held in (op.sens, op.sens_h, op.keep, op.work, *inputs):
             assert not np.shares_memory(got, held)
+
+
+# 8x8 masks of every shape the Gram apply distinguishes, with the axes its
+# transforms run along
+GRAM_MASKS = {
+    "full": (lambda: np.ones((8, 8), dtype=bool), (-2, -1)),
+    "empty": (lambda: np.zeros((8, 8), dtype=bool), (-2, -1)),
+    "column": (lambda: make_equispaced_mask(8, 8, 2.0).keep, (-1,)),
+    "row": (lambda: make_equispaced_mask(8, 8, 2.0).keep.T.copy(), (-2,)),
+    "poisson": (lambda: make_poisson_disc_mask(8, 8, 2.0, 2, 0).keep, (-2, -1)),
+}
+
+
+def _gram_mask_model(kind):
+    keep = GRAM_MASKS[kind][0]()
+    return ForwardModel(sens=make_synth_coils(8, 8, 2, 0), mask=SamplingMask(keep=keep, accel=2.0))
+
+
+def dense_gram(fm):
+    """A^H A = sum_c diag(conj s_c) F^H diag(m) F diag(s_c) as a dense matrix,
+    with F the centered orthonormal 2D DFT built from its entries, not by an FFT."""
+    def centered_dft(n):
+        k = np.arange(n) - n // 2
+        return np.exp(-2j * np.pi * np.outer(k, k) / n) / math.sqrt(n)
+
+    h, w = fm.shape
+    f = np.kron(centered_dft(h), centered_dft(w))
+    fhmf = f.conj().T @ (fm.mask.keep.ravel()[:, None] * f)
+    return sum(np.conj(s.ravel())[:, None] * fhmf * s.ravel()[None, :] for s in fm.sens)
+
+
+@pytest.mark.parametrize("kind", sorted(GRAM_MASKS))
+def test_gram_matches_the_dense_normal_matrix(kind):
+    fm = _gram_mask_model(kind)
+    op = NormalOperator(fm)
+    got = np.stack([op.gram(e.reshape(8, 8)).ravel() for e in np.eye(64)], axis=1)
+    scale = np.max(np.abs(fm.sens)) ** 2
+    assert np.max(np.abs(got - materialize_normal(fm, 0.0))) <= 1e-14 * scale
+    assert np.max(np.abs(got - dense_gram(fm))) <= 1e-14 * scale
+    if kind == "empty":
+        assert not got.any()
+
+
+@pytest.mark.parametrize("kind", sorted(GRAM_MASKS))
+def test_gram_transforms_only_where_the_mask_varies(monkeypatch, kind):
+    calls = []
+    for name in ("fft2", "ifftn"):
+        def spy(a, *args, _name=name, _real=getattr(np.fft, name), **kwargs):
+            calls.append((_name, kwargs["axes"]))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    op = NormalOperator(_gram_mask_model(kind))
+    x = random_complex(np.random.default_rng(21), (8, 8))
+    axes = GRAM_MASKS[kind][1]
+    for _ in range(2):
+        calls.clear()
+        op.gram(x)
+        assert calls == [("fft2", axes), ("ifftn", axes)]
 
 
 @pytest.mark.parametrize("method", ["smrd", "am_fixed", "csgm", "csgm_es", "zero_filled"])
