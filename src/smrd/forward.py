@@ -130,15 +130,15 @@ def make_equispaced_mask(
     n_target = int(round(w / accel))
     if n_acs > np.ceil(1.1 * n_target):
         raise ValueError("calibration region alone exceeds the sampling budget")
+    # accel >= 1 gives n_extra <= outside.size, so every pick lands in `outside`
     n_extra = max(0, n_target - n_acs)
     outside = np.flatnonzero(~cols)
-    n_extra = min(n_extra, outside.size)
     if n_extra > 0:
         spacing = outside.size / n_extra
         rng = np.random.default_rng(seed)
-        offset = int(rng.integers(0, max(1, int(round(spacing)))))
+        offset = int(rng.integers(0, int(round(spacing))))
         picks = np.floor(offset + spacing * np.arange(n_extra)).astype(int)
-        cols[outside[picks % outside.size]] = True
+        cols[outside[picks]] = True
 
     keep = np.broadcast_to(cols, (h, w)).copy()
     _check_realized(keep, accel)
@@ -154,7 +154,7 @@ def poisson_local_radii(h: int, w: int, base: float) -> np.ndarray:
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     yy, xx = np.ogrid[0:h, 0:w]
     d = np.hypot(yy - cy, xx - cx)
-    return base * (0.25 + 0.75 * d / d.max())
+    return base * (0.25 + 0.75 * d / (d.max() or 1.0))  # a 1x1 grid has d.max() == 0
 
 
 # Stencil entries (candidates x neighbour offsets) handled at once; bounds
@@ -259,8 +259,9 @@ def make_poisson_disc_mask(
     radius starts at max(1, sqrt(accel)) and doubles while too many
     pixels are kept, then is bisected (at most 30 steps) until the realized
     acceleration is within 7% of the request, inside the checked 10%. A
-    base radius already thrown is not thrown again. Deterministic for a
-    given seed.
+    base radius already thrown is not thrown again. At accel 1 the first
+    base radius, 1.0, conflicts no pair, so every pixel is kept and
+    `poisson_radius` is 1.0. Deterministic for a given seed.
     """
     if h < 1 or w < 1:
         raise ValueError("mask dimensions must be positive")
@@ -268,10 +269,6 @@ def make_poisson_disc_mask(
         raise ValueError(f"calib must be in [0, min(h, w)], got {calib}")
     if accel < 1:
         raise ValueError(f"infeasible acceleration {accel}: more points than pixels")
-
-    if accel == 1:
-        keep = np.ones((h, w), dtype=bool)
-        return SamplingMask(keep=keep, accel=1.0, poisson_radius=0.0)
 
     target = h * w / accel
     if calib * calib > 1.1 * target:

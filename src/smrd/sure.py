@@ -61,13 +61,14 @@ class SureConfig:
 
 @dataclass(frozen=True)
 class TttConfig:
-    """Test-time tuning of the regularization weight lambda."""
+    """Test-time tuning of the regularization weight lambda, which starts at
+    `lambda0` and stays in [LAMBDA_MIN, LAMBDA_MAX] at every step."""
 
     lambda0: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.lambda0 <= 0:
-            raise ValueError("lambda0 must be positive")
+        if not LAMBDA_MIN <= self.lambda0 <= LAMBDA_MAX:
+            raise ValueError(f"lambda0 must be in [{LAMBDA_MIN}, {LAMBDA_MAX}], got {self.lambda0}")
 
     def freeze_step(self, total_steps: int) -> int:
         return _ceil_fraction(FREEZE_FRACTION, total_steps)
@@ -178,20 +179,16 @@ def grad_sure_lambda(
     cfg: SureConfig,
     rng: np.random.Generator,
 ) -> float:
-    """d SURE / d lambda by central finite differences.
+    """d SURE / d lambda as the secant over lam +/- delta, each end clipped
+    to [LAMBDA_MIN, LAMBDA_MAX], where lam must lie.
 
-    All evaluations share one frozen probe set (and whatever noise h has
-    captured), so the difference isolates lambda. Falls back to a one-sided
-    difference when lam +/- delta would leave [LAMBDA_MIN, LAMBDA_MAX].
+    Both evaluations share one frozen probe set (and whatever noise h has
+    captured), so the difference isolates lambda.
     """
     delta = max(1e-4, 1e-2 * lam)
     sure_at = _probe_evaluator(h, x_t, x_zf, cfg, rng)
-    lo, hi = lam - delta, lam + delta
-    if hi > LAMBDA_MAX:
-        return (sure_at(lam) - sure_at(lo)) / delta
-    if lo < LAMBDA_MIN:
-        return (sure_at(hi) - sure_at(lam)) / delta
-    return (sure_at(hi) - sure_at(lo)) / (2.0 * delta)
+    up, down = min(delta, LAMBDA_MAX - lam), min(delta, lam - LAMBDA_MIN)
+    return (sure_at(lam + up) - sure_at(lam - down)) / (up + down)
 
 
 def update_lambda(state: TttState, grad: float) -> TttState:

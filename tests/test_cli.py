@@ -23,6 +23,7 @@ from smrd.config import (
 )
 from smrd.forward import apply_adjoint, apply_forward
 from smrd.metrics import psnr
+from smrd.sampler import METHODS
 from smrd.tensorfile import load_tensor, save_tensor
 from tests.test_tensorfile import MALFORMED
 
@@ -528,6 +529,8 @@ def test_rejected_value_exits_before_any_read(tmp_path, monkeypatch, name):
     ["--method", "zero_filled", "--lambda0", "0"],
     ["--mask", "equispaced", "--calib", "-1"],
     ["--mask", "poisson", "--calib", "33"],
+    *(["--method", method, "--lambda0", value]
+      for method in METHODS for value in ("5e-5", "2e4")),  # outside [LAMBDA_MIN, LAMBDA_MAX]
 ])
 def test_value_unread_under_another_setting_is_still_rejected(tmp_path, capsys, flags):
     out = tmp_path / "sim"
@@ -536,7 +539,9 @@ def test_value_unread_under_another_setting_is_still_rejected(tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, grid", [("--lambdas", "1,0"), ("--sigmas", "0,-0.5")])
+@pytest.mark.parametrize("flag, grid", [
+    ("--lambdas", "1,0"), ("--sigmas", "0,-0.5"), ("--lambdas", "1,1e5"),
+])
 def test_sweep_checks_every_cell_before_any_run(tmp_path, monkeypatch, flag, grid):
     calls = []
     monkeypatch.setattr(cli, "run_reconstruction", lambda *a, **k: calls.append(a))

@@ -62,6 +62,29 @@ def test_equispaced_with_acs_matches_column_oracle():
     assert 7.2 <= m.realized_accel <= 8.8
 
 
+@pytest.mark.parametrize("acs_fraction", [0.0, 0.04, 0.08, 0.5])
+def test_equispaced_keeps_its_column_budget(acs_fraction):
+    # every realizable width and accel keeps max(n_acs, round(w / accel))
+    # distinct columns; the rest fail the budget or the 10% check
+    realized = 0
+    for w in range(1, 65):
+        for accel in (1.0, 1.3, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0):
+            if accel > w:
+                continue
+            n_acs, n_target = int(np.ceil(acs_fraction * w)), int(round(w / accel))
+            want = max(n_acs, n_target)
+            if n_acs > np.ceil(1.1 * n_target) or not 0.9 * accel <= w / want <= 1.1 * accel:
+                with pytest.raises(ValueError):
+                    make_equispaced_mask(2, w, accel, acs_fraction, seed=w)
+                continue
+            for seed in range(3):
+                m = make_equispaced_mask(2, w, accel, acs_fraction, seed=seed)
+                assert (m.keep == m.keep[0]).all()
+                assert int(m.keep[0].sum()) == want
+            realized += 1
+    assert realized >= 100
+
+
 def test_equispaced_rejects_excess_accel():
     with pytest.raises(ValueError):
         make_equispaced_mask(16, 16, 17.0)
@@ -74,8 +97,11 @@ def test_equispaced_unrealizable_accel_is_value_error():
 
 
 def test_poisson_r1_is_full():
-    m = make_poisson_disc_mask(32, 32, 1.0, calib=8, seed=0)
-    assert m.keep.all()
+    # base radius 1.0 conflicts no pair of pixels, so the first throw keeps all
+    for h, w, calib in ((32, 32, 8), (16, 20, 0), (7, 9, 3), (64, 64, 16), (128, 128, 16), (1, 1, 0)):
+        m = make_poisson_disc_mask(h, w, 1.0, calib=calib, seed=0)
+        assert m.keep.all()
+        assert m.poisson_radius == 1.0
 
 
 def test_poisson_deterministic():

@@ -221,6 +221,44 @@ def test_grad_one_sided_at_bounds():
         assert grad(LAMBDA_MAX) == (sure(LAMBDA_MAX) - sure(LAMBDA_MAX - delta_max)) / delta_max
 
 
+def test_grad_is_clipped_secant_near_bounds():
+    # within delta of a bound, the secant's near end is clipped to the bound
+    rng = np.random.default_rng(27)
+    x_t = random_complex(rng, (4, 4))
+    x_zf = random_complex(rng, (4, 4))
+    w = 1.0 + 0.1 * random_complex(rng, (4, 4))
+
+    def h(v, lam):
+        return (x_zf + lam * w * v) / (1.0 + lam * np.abs(w))
+
+    cfg = SureConfig(probes=2)
+    for seed in (28, 29):
+        def sure(lam):
+            return mc_sure(h, x_t, x_zf, lam, cfg, np.random.default_rng(seed))
+
+        for lam in (LAMBDA_MIN + 5e-5, LAMBDA_MAX - 50.0):  # about delta / 2 inside each bound
+            delta = max(1e-4, 1e-2 * lam)
+            up, down = min(delta, LAMBDA_MAX - lam), min(delta, lam - LAMBDA_MIN)
+            assert 0 < min(up, down) < delta
+            g = grad_sure_lambda(h, x_t, x_zf, lam, cfg, np.random.default_rng(seed))
+            assert g == (sure(lam + up) - sure(lam - down)) / (up + down)
+
+
+@pytest.mark.parametrize("probes", [1, 3])
+def test_grad_evaluates_h_twice_per_sure(probes):
+    # two SURE values, each h at x_t plus h once per probe, wherever lam lies
+    x_t = np.ones((4, 4), dtype=complex)
+    for lam in (LAMBDA_MIN, LAMBDA_MIN + 5e-5, 2.0, LAMBDA_MAX - 50.0, LAMBDA_MAX):
+        calls = []
+
+        def h(v, lam_):
+            calls.append(lam_)
+            return v / (1.0 + lam_)
+
+        grad_sure_lambda(h, x_t, x_t, lam, SureConfig(probes=probes), np.random.default_rng(0))
+        assert len(calls) == 2 * (1 + probes)
+
+
 # update_lambda ----------------------------------------------------------
 
 def test_update_lambda_zero_grad_noop():
@@ -317,8 +355,11 @@ def test_early_stop_matches_oracle(history, w):
 def test_config_validation():
     with pytest.raises(ValueError):
         SureConfig(probes=0)
-    with pytest.raises(ValueError):
-        TttConfig(lambda0=0.0)
+    for lambda0 in (0.0, float("nan"), LAMBDA_MIN / 2, 2 * LAMBDA_MAX):
+        with pytest.raises(ValueError, match="lambda0 must be in"):
+            TttConfig(lambda0=lambda0)
+    assert TttConfig(lambda0=LAMBDA_MIN).lambda0 == LAMBDA_MIN
+    assert TttConfig(lambda0=LAMBDA_MAX).lambda0 == LAMBDA_MAX
     with pytest.raises(ValueError):
         EarlyStopConfig(window=-1)
     assert EarlyStopConfig().resolve_window(300) == 42
