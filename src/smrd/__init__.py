@@ -2,7 +2,7 @@
 MRI reconstruction, with synthetic phantoms and analytic priors so the
 whole pipeline is verifiable end to end."""
 
-from .config import ConfigError, ExperimentConfig, derive_seed, load_config, parse_config_text
+from .config import ExperimentConfig, derive_seed, load_config, parse_config_text
 from .forward import (
     ForwardModel,
     NoiseSpec,

@@ -9,8 +9,9 @@ Verbs:
 Every command is a pure function of (config, input files): reruns with the
 same seed produce byte-identical outputs at any BLAS thread count, though
 not across CPUs or numpy builds.
-Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numerical failure (a run
-turned non-finite; the message names the method and step).
+Exit codes: 0 ok, 2 config error (ValueError), 3 I/O error (OSError),
+4 numerical failure (NumericalError: a run turned non-finite; the message
+names the method and step).
 """
 
 from __future__ import annotations
@@ -22,21 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .config import (
-    FIELD_TYPES,
-    ConfigError,
-    ExperimentConfig,
-    build_controller_configs,
-    build_forward_model,
-    build_noise_spec,
-    build_phantom,
-    build_prior,
-    build_sampler_config,
-    format_keyvals,
-    load_config,
-)
-from .forward import ForwardModel, SamplingMask, add_kspace_noise, apply_forward
-from .sampler import ReconReport, run_reconstruction, write_trace_csv
+from .config import FIELD_TYPES, ExperimentConfig, format_keyvals, load_config, reconstruct, simulate
+from .forward import ForwardModel, SamplingMask
+from .sampler import ReconReport, write_trace_csv
 from .sure import NumericalError
 from .tensorfile import TensorFileError, atomic_write, load_tensor, save_tensor
 
@@ -64,9 +53,9 @@ def _parse_grid(raw: str, name: str) -> list[float]:
     try:
         values = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad {name} grid {raw!r}") from exc
+        raise ValueError(f"bad {name} grid {raw!r}") from exc
     if not values:
-        raise ConfigError(f"{name} grid is empty")
+        raise ValueError(f"{name} grid is empty")
     return values
 
 
@@ -95,18 +84,13 @@ def _load_sim(cfg: ExperimentConfig) -> tuple[np.ndarray, ForwardModel, np.ndarr
 def _run_method(
     cfg: ExperimentConfig, method: str, truth: np.ndarray, fm: ForwardModel, y: np.ndarray
 ) -> tuple[ReconReport, float, float]:
-    prior = build_prior(cfg, truth)
-    scfg = build_sampler_config(cfg, method)
-    ttt, es, sure_cfg = build_controller_configs(cfg)
-    report = run_reconstruction(y, fm, prior, scfg, ttt, es, sure_cfg, truth=truth)
+    report = reconstruct(cfg, method, truth, fm, y)
     return report, metrics.psnr(truth, report.final), metrics.ssim(truth, report.final)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     # the mask's own rules run here, before anything is written
-    truth = build_phantom(cfg)
-    fm = build_forward_model(cfg)
-    y = add_kspace_noise(apply_forward(fm, truth), fm.mask, build_noise_spec(cfg))
+    truth, fm, y = simulate(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     save_tensor(out / "truth.smrd", truth)
@@ -157,18 +141,16 @@ def cmd_recon(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep_lambda(cfg: ExperimentConfig, lambdas: list[float], sigmas: list[float]) -> int:
-    # each grid cell is a config of its own; all pass the gate before any run
+    # each grid cell is a config of its own; all pass the gate, and every
+    # sigma's data is simulated, before any run or write
     grid = [[cfg.replace(sigma=s, lambda0=lam).validate() for lam in lambdas] for s in sigmas]
-    truth = build_phantom(cfg)
-    fm = build_forward_model(cfg)
-    y_clean = apply_forward(fm, truth)
+    data = [simulate(cells[0]) for cells in grid]
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = ["sigma,lambda,psnr,ssim"]
     best_lines = ["sigma,best_lambda,best_psnr"]
-    for sigma, cells in zip(sigmas, grid):
-        y = add_kspace_noise(y_clean, fm.mask, build_noise_spec(cells[0]))
+    for sigma, cells, (truth, fm, y) in zip(sigmas, grid, data):
         scores = []
         for lam, cell in zip(lambdas, cells):
             _, psnr_v, ssim_v = _run_method(cell, "am_fixed", truth, fm, y)
@@ -226,10 +208,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, TensorFileError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

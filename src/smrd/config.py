@@ -1,5 +1,8 @@
 """Experiment configuration: a flat key=value format, seed derivation and
-builders that assemble the pipeline pieces from one config.
+the assembly of a run from one config. `simulate` builds the ground
+truth, the forward model and the noisy k-space; `reconstruct` runs one
+method on them. A fault in a config raises ValueError, as a component's
+own check does.
 
 The file format is one `key = value` pair per line. A `#` at the start
 of a line or after whitespace starts a comment, so `out = runs/exp#3`
@@ -21,18 +24,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .forward import ForwardModel, NoiseSpec, SamplingMask, make_equispaced_mask, make_poisson_disc_mask
+from .forward import (
+    ForwardModel, NoiseSpec, SamplingMask, add_kspace_noise, apply_forward,
+    make_equispaced_mask, make_poisson_disc_mask,
+)
 from .phantom import PhantomSpec, make_phantom, make_synth_coils
 from .priors import NoiseSchedule, ScorePrior
-from .sampler import SamplerConfig
+from .sampler import ReconReport, SamplerConfig, run_reconstruction
 from .sure import EarlyStopConfig, SureConfig, TttConfig
 
 MASK_KINDS = ("equispaced", "poisson")
 PRIORS = ("truth", "none")  # a Gaussian centered on the truth, or no prior
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -78,37 +80,34 @@ class ExperimentConfig:
         accel >= 1, 0 <= calib <= size under every mask, and a nonempty
         `out` that reads back unchanged from its config-file line. Every
         other rule is a component's own and runs by building that component's
-        spec; its ValueError is re-raised as ConfigError."""
+        spec. A broken rule raises ValueError."""
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
             if kind is float and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name, allowed in (("mask", MASK_KINDS), ("prior", PRIORS)):
             value = getattr(self, name)
             if value not in allowed:
-                raise ConfigError(f"unknown {name} {value!r}, expected one of {allowed}")
+                raise ValueError(f"unknown {name} {value!r}, expected one of {allowed}")
         if self.coils < 1:
-            raise ConfigError("coils must be >= 1")
+            raise ValueError("coils must be >= 1")
         if self.accel < 1:
-            raise ConfigError("accel must be >= 1")
-        try:
-            _phantom_spec(self)
-            build_noise_spec(self)
-            _score_prior(self)
-            build_sampler_config(self)
-            build_controller_configs(self)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ValueError("accel must be >= 1")
+        _phantom_spec(self)
+        build_noise_spec(self)
+        _score_prior(self)
+        build_sampler_config(self, self.method)
+        build_controller_configs(self)
         if not 0 <= self.calib <= self.size:
-            raise ConfigError(f"calib must be in [0, size={self.size}], got {self.calib}")
+            raise ValueError(f"calib must be in [0, size={self.size}], got {self.calib}")
         if not self.out:
-            raise ConfigError("out must not be empty")
+            raise ValueError("out must not be empty")
         try:
             same = parse_config_text(f"out = {self.out}").out == self.out
-        except ConfigError:
+        except ValueError:
             same = False
         if not same:
-            raise ConfigError(f"out {self.out!r} does not read back from a config file")
+            raise ValueError(f"out {self.out!r} does not read back from a config file")
         return self
 
     def replace(self, **overrides) -> "ExperimentConfig":
@@ -129,7 +128,7 @@ def _convert(name: str, kind: type, raw: str):
     try:
         return kind(raw.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad value for {name}: {raw!r}") from exc
+        raise ValueError(f"bad value for {name}: {raw!r}") from exc
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -137,7 +136,7 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Apply the `key = value` lines of `text` to the defaults. Only parses:
-    unknown or repeated keys and unparsable values raise ConfigError, and
+    unknown or repeated keys and unparsable values raise ValueError, and
     the caller gates the finished config with validate()."""
     updates = {}
     first_line = {}
@@ -146,13 +145,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
+            raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
         if key not in FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in first_line:
-            raise ConfigError(f"line {lineno}: key {key!r} already set on line {first_line[key]}")
+            raise ValueError(f"line {lineno}: key {key!r} already set on line {first_line[key]}")
         first_line[key] = lineno
         updates[key] = _convert(key, FIELD_TYPES[key], raw)
     return ExperimentConfig(**updates)
@@ -199,16 +198,32 @@ def build_prior(cfg: ExperimentConfig, truth: np.ndarray | None) -> ScorePrior:
     if cfg.prior == "none":
         return _score_prior(cfg)
     if truth is None:
-        raise ConfigError(f"prior={cfg.prior!r} needs the ground-truth image")
+        raise ValueError(f"prior={cfg.prior!r} needs the ground-truth image")
     return _score_prior(cfg, truth)
 
 
-def build_sampler_config(cfg: ExperimentConfig, method: str | None = None) -> SamplerConfig:
-    chosen = method or cfg.method
-    return SamplerConfig(method=chosen, seed=derive_seed(cfg.seed, f"recon:{chosen}"))
+def build_sampler_config(cfg: ExperimentConfig, method: str) -> SamplerConfig:
+    return SamplerConfig(method=method, seed=derive_seed(cfg.seed, f"recon:{method}"))
 
 
 def build_controller_configs(
     cfg: ExperimentConfig,
 ) -> tuple[TttConfig, EarlyStopConfig, SureConfig]:
     return TttConfig(lambda0=cfg.lambda0), EarlyStopConfig(), SureConfig()
+
+
+def simulate(cfg: ExperimentConfig) -> tuple[np.ndarray, ForwardModel, np.ndarray]:
+    """The ground truth, the forward model and the noisy k-space of `cfg`."""
+    truth = build_phantom(cfg)
+    fm = build_forward_model(cfg)
+    return truth, fm, add_kspace_noise(apply_forward(fm, truth), fm.mask, build_noise_spec(cfg))
+
+
+def reconstruct(
+    cfg: ExperimentConfig, method: str, truth: np.ndarray, fm: ForwardModel, y: np.ndarray
+) -> ReconReport:
+    """Reconstruct `y` with `method` under the prior, seed and controller
+    settings of `cfg`. `cfg.sigma` is not read: the run sees the noise only
+    through `y`. `truth` feeds the prior and the trace's MSE."""
+    return run_reconstruction(y, fm, build_prior(cfg, truth), build_sampler_config(cfg, method),
+                              *build_controller_configs(cfg), truth=truth)

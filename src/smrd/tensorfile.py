@@ -26,7 +26,7 @@ _TAG_TO_DTYPE = {0: np.dtype("<c8"), 1: np.dtype("<c16"), 2: np.dtype("u1")}
 _KIND_TO_TAG = {("c", 8): 0, ("c", 16): 1, ("u", 1): 2}
 
 
-class TensorFileError(Exception):
+class TensorFileError(OSError):
     """A tensor file that cannot be read or written; the message starts with its path."""
 
 

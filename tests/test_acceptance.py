@@ -9,20 +9,11 @@ import numpy as np
 import pytest
 
 import smrd
-from smrd.config import (
-    ExperimentConfig,
-    build_controller_configs,
-    build_forward_model,
-    build_noise_spec,
-    build_phantom,
-    build_prior,
-    build_sampler_config,
-)
+from smrd.config import ExperimentConfig, reconstruct, simulate
 from smrd.cli import main
 from smrd.forward import (
     ForwardModel,
     NormalOperator,
-    add_kspace_noise,
     apply_adjoint,
     apply_forward,
     make_equispaced_mask,
@@ -30,7 +21,7 @@ from smrd.forward import (
 )
 from smrd.metrics import psnr
 from smrd.phantom import make_synth_coils
-from smrd.sampler import cg_solve, run_reconstruction
+from smrd.sampler import cg_solve
 from smrd.sure import draw_probe, early_stop_check, sure_known_sigma
 
 
@@ -41,22 +32,6 @@ def report(num: int, ok: bool, detail: str, headroom: str) -> None:
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def simulate(cfg: ExperimentConfig):
-    truth = build_phantom(cfg)
-    fm = build_forward_model(cfg)
-    y = add_kspace_noise(apply_forward(fm, truth), fm.mask, build_noise_spec(cfg))
-    return truth, fm, y
-
-
-def reconstruct(cfg: ExperimentConfig, method: str):
-    truth, fm, y = simulate(cfg)
-    prior = build_prior(cfg, truth)
-    scfg = build_sampler_config(cfg, method)
-    ttt, es, sure_cfg = build_controller_configs(cfg)
-    rep = run_reconstruction(y, fm, prior, scfg, ttt, es, sure_cfg, truth=truth)
-    return truth, rep
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +46,9 @@ def shared_runs():
 def reuse_or_reconstruct(runs, accel, sigma, seed, method, lambda0):
     key = (accel, sigma, seed, method, lambda0)
     if key not in runs:
-        cfg = ExperimentConfig(accel=accel, sigma=sigma, seed=seed)
-        runs[key] = reconstruct(cfg.replace(lambda0=lambda0), method)
+        cfg = ExperimentConfig(accel=accel, sigma=sigma, seed=seed, lambda0=lambda0)
+        truth, fm, y = simulate(cfg)
+        runs[key] = truth, reconstruct(cfg, method, truth, fm, y)
     return runs[key]
 
 

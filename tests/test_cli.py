@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smrd import cli
+from smrd import cli, config
 from smrd.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _resolve_config, build_parser, main
 from smrd.config import (
     FIELD_TYPES,
@@ -543,12 +544,51 @@ def test_value_unread_under_another_setting_is_still_rejected(tmp_path, capsys, 
     ("--lambdas", "1,0"), ("--sigmas", "0,-0.5"), ("--lambdas", "1,1e5"),
 ])
 def test_sweep_checks_every_cell_before_any_run(tmp_path, monkeypatch, flag, grid):
-    calls = []
-    monkeypatch.setattr(cli, "run_reconstruction", lambda *a, **k: calls.append(a))
+    calls = count_runs(monkeypatch)
     out = tmp_path / "sweep"
     assert run_cli("sweep-lambda", *FAST, flag, grid, "--out", out) == EXIT_CONFIG
     assert calls == []
     assert not out.exists()
+
+
+def count_runs(monkeypatch):
+    """Record each reconstruction at the binding `config.reconstruct` calls."""
+    calls = []
+    run = config.run_reconstruction
+    monkeypatch.setattr(config, "run_reconstruction", lambda *a, **k: calls.append(a) or run(*a, **k))
+    return calls
+
+
+def test_every_run_passes_the_counted_binding(tmp_path, monkeypatch):
+    # without this count, "no call" above would also hold for runs made elsewhere
+    calls = count_runs(monkeypatch)
+    assert run_cli("sweep-lambda", *FAST, "--lambdas", "1,2", "--sigmas", "0,0.02",
+                   "--out", tmp_path / "sweep") == EXIT_OK
+    assert len(calls) == 4
+    sim = tmp_path / "sim"
+    run_cli("simulate", *FAST, "--out", sim)
+    assert run_cli("compare", *FAST, "--out", sim) == EXIT_OK
+    assert len(calls) == 4 + 5
+
+
+def test_a_run_never_reads_the_configs_sigma(tmp_path):
+    # sigma describes the simulation; a reconstruction sees the noise only through y
+    sim = tmp_path / "sim"
+    run_cli("simulate", *FAST, "--sigma", "0.02", "--out", sim)
+    hashes = []
+    for sigma in ("0.02", "0.5"):
+        out = tmp_path / sigma
+        shutil.copytree(sim, out)
+        assert run_cli("recon", *FAST, "--sigma", sigma, "--method", "smrd", "--out", out) == EXIT_OK
+        assert run_cli("compare", *FAST, "--sigma", sigma, "--out", out) == EXIT_OK
+        hashes.append(file_hashes(out))
+    assert hashes[0] == hashes[1]
+
+    cfg = _resolve_config(build_parser().parse_args(["recon", *FAST, "--sigma", "0.02"]))
+    truth, fm, y = config.simulate(cfg)
+    reports = [config.reconstruct(c, "smrd", truth, fm, y) for c in (cfg, cfg.replace(sigma=0.5))]
+    assert reports[0].final.tobytes() == reports[1].final.tobytes()
+    assert repr(reports[0].trace) == repr(reports[1].trace)
 
 
 # the docs name exactly the verbs, flags and kinds the parser offers --------

@@ -27,20 +27,9 @@ from pathlib import Path
 if __name__ == "__main__":  # run as a script: import the package from the source tree
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from smrd.config import (
-    MASK_KINDS,
-    PRIORS,
-    ExperimentConfig,
-    build_controller_configs,
-    build_forward_model,
-    build_noise_spec,
-    build_phantom,
-    build_prior,
-    build_sampler_config,
-)
-from smrd.forward import add_kspace_noise, apply_forward
+from smrd.config import MASK_KINDS, PRIORS, ExperimentConfig, reconstruct, simulate
 from smrd.metrics import psnr
-from smrd.sampler import METHODS, run_reconstruction, write_trace_csv
+from smrd.sampler import METHODS, write_trace_csv
 
 GOLDEN = Path(__file__).with_name("golden_runs.csv")
 KEY = ("mask", "sigma", "prior", "method")
@@ -57,11 +46,8 @@ GRID = [
 
 def run_row(mask: str, sigma: float, prior: str, method: str, trace_path: Path) -> dict:
     cfg = BASE.replace(mask=mask, sigma=sigma, prior=prior).validate()
-    truth = build_phantom(cfg)
-    fm = build_forward_model(cfg)
-    y = add_kspace_noise(apply_forward(fm, truth), fm.mask, build_noise_spec(cfg))
-    rep = run_reconstruction(y, fm, build_prior(cfg, truth), build_sampler_config(cfg, method),
-                             *build_controller_configs(cfg), truth=truth)
+    truth, fm, y = simulate(cfg)
+    rep = reconstruct(cfg, method, truth, fm, y)
     write_trace_csv(rep, trace_path)
     return {
         "mask": mask,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from smrd import sampler
+from smrd.config import ExperimentConfig, build_prior, reconstruct, simulate
 from smrd.forward import (
     ForwardModel,
     NormalOperator,
@@ -552,22 +553,10 @@ def test_csgm_scalar_recursion():
 # run_reconstruction -----------------------------------------------------
 
 def small_setup(sigma=0.0, seed=0):
-    from smrd.config import (
-        ExperimentConfig,
-        build_forward_model,
-        build_noise_spec,
-        build_phantom,
-        build_prior,
-    )
-    from smrd.forward import add_kspace_noise
-
     cfg = ExperimentConfig(size=32, coils=2, accel=4.0, sigma=sigma, seed=seed,
                            levels=10, steps=30)
-    truth = build_phantom(cfg)
-    fm = build_forward_model(cfg)
-    y = add_kspace_noise(apply_forward(fm, truth), fm.mask, build_noise_spec(cfg))
-    prior = build_prior(cfg, truth)
-    return truth, fm, y, prior
+    truth, fm, y = simulate(cfg)
+    return truth, fm, y, build_prior(cfg, truth)
 
 
 def test_zero_filled_method():
@@ -603,23 +592,9 @@ def test_reconstruction_bit_reproducible():
 
 
 def test_smrd_beats_zero_filled_on_phantom():
-    from smrd.config import (
-        ExperimentConfig,
-        build_controller_configs,
-        build_forward_model,
-        build_phantom,
-        build_prior,
-        build_sampler_config,
-    )
-
     cfg = ExperimentConfig(accel=4.0, sigma=0.0, seed=0)
-    truth = build_phantom(cfg)
-    fm = build_forward_model(cfg)
-    y = apply_forward(fm, truth)
-    prior = build_prior(cfg, truth)
-    scfg = build_sampler_config(cfg, "smrd")
-    ttt, es, sure_cfg = build_controller_configs(cfg)
-    rep = run_reconstruction(y, fm, prior, scfg, ttt, es, sure_cfg, truth=truth)
+    truth, fm, y = simulate(cfg)
+    rep = reconstruct(cfg, "smrd", truth, fm, y)
     zf_psnr = psnr(truth, apply_adjoint(fm, y))
     assert psnr(truth, rep.final) >= zf_psnr + 3.0
 
