@@ -353,10 +353,12 @@ class NormalOperator:
     transforms, so its apply keeps the reference operators' bits.
 
     Each apply runs in one complex (coils, h, w) work array and allocates
-    only its (h, w) result. The forward transform is `fft2` over `axes`; the
-    inverse is `ifftn` because numpy 2.4's `ifft2` ignores `out=`. The mask
-    stays bool: each product casts it exactly as the reference operators
-    do, and a complex copy would hold 16 bytes per pixel for nothing.
+    at most its (h, w) result: none when `gram(z, out=)` is given an array.
+    The operator also owns `cg`, the four (h, w) arrays `cg_solve` runs in.
+    The forward transform is `fft2` over `axes`; the inverse is `ifftn`
+    because numpy 2.4's `ifft2` ignores `out=`. The mask stays bool: each
+    product casts it exactly as the reference operators do, and a complex
+    copy would hold 16 bytes per pixel for nothing.
 
     numpy's SIMD complex product is not bitwise commutative, so every
     product keeps the reference operators' operand order: `sens * z`,
@@ -366,8 +368,9 @@ class NormalOperator:
 
     Build one per reconstruction and let it go with the run: it holds the
     conjugate coil stack, and caching it on a `ForwardModel` would keep it
-    resident for as long as the model lives. The work array is shared by
-    every apply, so one operator must not be used from two threads at once.
+    resident for as long as the model lives. The work and solve arrays are
+    shared by every apply and solve, so one operator must not be used from
+    two threads at once.
     """
 
     def __init__(self, fm: ForwardModel) -> None:
@@ -379,16 +382,19 @@ class NormalOperator:
         self.axes = varies or (-2, -1)
         self.keep = keep[tuple(slice(None) if ax in self.axes else slice(1) for ax in (-2, -1))]
         self.work = np.empty(fm.sens.shape, dtype=np.complex128)
+        # cg_solve's residual, search direction, (A^H A + lam I) p and temporary
+        self.cg = np.empty((4, *fm.shape), dtype=np.complex128)
 
-    def gram(self, z: np.ndarray) -> np.ndarray:
-        """A^H A z for an (h, w) image z; returns a new array."""
+    def gram(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A^H A z for an (h, w) image z, summed into `out` (and returned)
+        when it is given, else into a new array."""
         work = self.work
         np.multiply(self.sens, z, out=work)
         np.fft.fft2(work, axes=self.axes, norm="ortho", out=work)
         np.multiply(work, self.keep, out=work)
         np.fft.ifftn(work, axes=self.axes, norm="ortho", out=work)
         np.multiply(self.sens_h, work, out=work)
-        return np.sum(work, axis=0)
+        return np.sum(work, axis=0, out=out)
 
 
 def add_kspace_noise(y: np.ndarray, mask: SamplingMask, spec: NoiseSpec) -> np.ndarray:

@@ -116,6 +116,8 @@ def cg_solve(
     undersampling) and iters nonnegative. The iteration is deterministic, so
     `iters = k` returns the k-th iterate of one and the same CG sequence
     (`iters = 0` returns a copy of x_plus). The inputs are never written to.
+    The solve runs in `op.cg` and allocates only the iterate it returns, so
+    one operator serves one solve at a time.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -124,23 +126,25 @@ def cg_solve(
     if x_zf.shape != op.shape or x_plus.shape != op.shape:
         raise ValueError("x_zf / x_plus shapes do not match the forward model")
 
-    b = x_zf + lam * x_plus
+    # complex products are not bitwise commutative: keep the textbook operand order
+    r, p, ap, tmp = op.cg
     z = np.array(x_plus, dtype=np.complex128)
-    r = b - (op.gram(z) + lam * z)
-    p = r.copy()
+    np.add(x_zf, np.multiply(lam, x_plus, out=tmp), out=r)
+    np.subtract(r, np.add(op.gram(z, out=ap), np.multiply(lam, z, out=tmp), out=ap), out=r)
+    np.copyto(p, r)
     rz = norm2(r)
     for _ in range(iters):
         if rz == 0.0:
             break
-        ap = op.gram(p) + lam * p
+        np.add(op.gram(p, out=ap), np.multiply(lam, p, out=tmp), out=ap)
         pap = real_inner(p, ap)
         if pap <= 0.0:
             break
         alpha = rz / pap
-        z = z + alpha * p
-        r = r - alpha * ap
+        z += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, ap, out=tmp)
         rz_new = norm2(r)
-        p = r + (rz_new / rz) * p
+        np.add(r, np.multiply(rz_new / rz, p, out=p), out=p)
         rz = rz_new
     return z
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,29 @@ def test_cg_leaves_inputs_alone_and_returns_its_own_array(iters):
     assert not np.shares_memory(got, x_zf) and not np.shares_memory(got, x_plus)
 
 
+def test_cg_runs_in_its_operators_arrays():
+    # a solve's peak memory does not grow with its iteration count, and the
+    # only memory it keeps is the iterate it returns
+    _, fm, y = simulate(ExperimentConfig(size=32))
+    op = NormalOperator(fm)
+    x_zf = apply_adjoint(fm, y)
+    x_plus = random_complex(np.random.default_rng(22), fm.shape)
+    image = x_zf.nbytes
+    cg_solve(op, 2.0, x_zf, x_plus, 20)  # fills numpy's FFT and small-array caches
+    peaks = []
+    for iters in (0, 20):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            z = cg_solve(op, 2.0, x_zf, x_plus, iters)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - base)
+        assert abs(kept - base - z.nbytes) <= 0.25 * image
+    assert abs(peaks[1] - peaks[0]) <= 0.25 * image
+
+
 def test_cg_interleaved_calls_match_fresh_calls():
     # two models of one shape: a solve must not see another solve's state
     other = ForwardModel(sens=make_synth_coils(64, 64, 4, 5),
@@ -397,12 +421,15 @@ def test_operator_leaves_inputs_alone_and_returns_its_own_arrays(name):
     op = NormalOperator(fm)
     prior = ScorePrior(mean=np.zeros(fm.shape), tau2=1.0)
     results = [cg_solve(op, 1.5, x_zf, x_plus, k) for k in (0, 3)]
+    solved = results[1].copy()
     results.append(op.gram(x))
     results.append(csgm_step(x, prior, op, x_zf, 7, x_plus))
+    results.append(cg_solve(op, 4.0, x_plus, x_zf, 3))
+    assert np.array_equal(results[1], solved)
     for a, b in zip(before, inputs):
         assert np.array_equal(a, b)
     for got in results:
-        for held in (op.sens, op.sens_h, op.keep, op.work, *inputs):
+        for held in (op.sens, op.sens_h, op.keep, op.work, op.cg, *inputs):
             assert not np.shares_memory(got, held)
 
 
@@ -458,10 +485,14 @@ def test_gram_transforms_only_where_the_mask_varies(monkeypatch, kind):
     op = NormalOperator(_gram_mask_model(kind))
     x = random_complex(np.random.default_rng(21), (8, 8))
     axes = GRAM_MASKS[kind][1]
-    for _ in range(2):
+    want = op.gram(x)
+    buf = np.empty((8, 8), dtype=complex)
+    for out in (None, None, buf):
         calls.clear()
-        op.gram(x)
+        got = op.gram(x, out=out)
         assert calls == [("fft2", axes), ("ifftn", axes)]
+        assert np.array_equal(got, want)
+    assert got is buf
 
 
 @pytest.mark.parametrize("method", ["smrd", "am_fixed", "csgm", "csgm_es", "zero_filled"])
