@@ -34,6 +34,7 @@ LAMBDA_MIN = 1e-4
 LAMBDA_MAX = 1e4
 ALPHA = 0.2  # Adam step size on lambda
 FREEZE_FRACTION = 0.43  # no lambda updates from ceil(FREEZE_FRACTION * T) on
+STOP_FRACTION = 0.14  # early-stop window of ceil(STOP_FRACTION * T) steps
 EPS_REL = 1e-3  # probe scale relative to max |x_t|
 EPS_FLOOR = 1e-8  # absolute floor on the probe scale, keeps eps > 0 on tiny iterates
 # Adam's constants (Kingma & Ba, ICLR 2015)
@@ -76,18 +77,10 @@ class TttConfig:
 
 @dataclass(frozen=True)
 class EarlyStopConfig:
-    """Moving-average early stopping; window=0 scales as ceil(0.14 * T)."""
-
-    window: int = 0
-
-    def __post_init__(self) -> None:
-        if self.window < 0:
-            raise ValueError("window must be >= 0 (0 = auto)")
+    """Moving-average early stopping; the window is ceil(STOP_FRACTION * T)."""
 
     def resolve_window(self, total_steps: int) -> int:
-        if self.window > 0:
-            return self.window
-        return _ceil_fraction(0.14, total_steps)
+        return _ceil_fraction(STOP_FRACTION, total_steps)
 
 
 def _ceil_fraction(frac: float, total_steps: int) -> int:

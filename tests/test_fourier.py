@@ -143,30 +143,50 @@ def test_inner_shape_mismatch():
 # products that numpy may hand to BLAS, whose summation order (and so whose
 # bits) can change with the BLAS thread count
 NP_PRODUCTS = {"vdot", "dot", "inner", "matmul", "tensordot"}
+LINALG_PRODUCTS = {"norm", "multi_dot"}
+
+
+def optimized_einsum(node):
+    """True for an einsum call whose `optimize` is anything but a literal
+    False (or may be, through `**kwargs`): an optimized path calls tensordot."""
+    name = ast.unparse(node.func)
+    if name not in ("einsum", "np.einsum", "numpy.einsum"):
+        return False
+    return any(kw.arg in ("optimize", None)
+               and not (isinstance(kw.value, ast.Constant) and kw.value.value is False)
+               for kw in node.keywords)
 
 
 def blas_products(source):
     """(line, expression) of each BLAS-backed product in `source`: `@`,
-    any `.dot`, numpy's products and `linalg.norm`."""
+    any `.dot`, numpy's products, `linalg.norm`, `linalg.multi_dot` and an
+    optimized `einsum`."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             yield node.lineno, "@"
+        elif isinstance(node, ast.Call) and optimized_einsum(node):
+            yield node.lineno, ast.unparse(node)
         elif isinstance(node, ast.Attribute):
             owner = ast.unparse(node.value)
             if (node.attr == "dot" or (owner in ("np", "numpy") and node.attr in NP_PRODUCTS)
-                    or (owner.endswith("linalg") and node.attr == "norm")):
+                    or (owner.endswith("linalg") and node.attr in LINALG_PRODUCTS)):
                 yield node.lineno, ast.unparse(node)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
             for alias in node.names:
-                if alias.name in NP_PRODUCTS | {"norm"}:
+                if alias.name in NP_PRODUCTS | LINALG_PRODUCTS:
                     yield node.lineno, alias.name
 
 
 def test_blas_product_scan_sees_every_form():
     source = ("a @ b\nc @= d\nx.dot(y)\nnp.vdot(a, b)\nnp.dot(a, b)\nnp.inner(a, b)\n"
               "numpy.matmul(a, b)\nnp.linalg.norm(a)\nfrom numpy import vdot\n"
-              "from numpy.linalg import norm\n@dataclass\nclass C: pass\n")
-    assert sorted(line for line, _ in blas_products(source)) == list(range(1, 11))
+              "from numpy.linalg import norm\nnp.einsum('i,i', a, b, optimize=True)\n"
+              "einsum('i,i', a, b, optimize='greedy')\nnp.einsum('i,i', a, b, **opts)\n"
+              "np.linalg.multi_dot([a, b])\nfrom numpy.linalg import multi_dot\n"
+              # none of these may be flagged
+              "np.einsum('i,i', a, b)\nnp.einsum('i,i', a, b, optimize=False)\n"
+              "@dataclass\nclass C: pass\n")
+    assert sorted(line for line, _ in blas_products(source)) == list(range(1, 16))
 
 
 def test_no_blas_reduction_in_the_package():

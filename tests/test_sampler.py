@@ -30,7 +30,7 @@ from smrd.sampler import (
     langevin_step,
     run_reconstruction,
 )
-from smrd.sure import LAMBDA_MAX, LAMBDA_MIN, EarlyStopConfig, TttConfig
+from smrd.sure import LAMBDA_MAX, LAMBDA_MIN, EarlyStopConfig, TttConfig, early_stop_check
 
 
 def random_complex(rng, shape):
@@ -598,17 +598,22 @@ def test_zero_filled_method():
     assert rep.trace == []
 
 
-def test_large_window_never_stops():
-    truth, fm, y, prior = small_setup()
-    total = prior.schedule.steps
-    rep = run_reconstruction(
-        y, fm, prior,
-        SamplerConfig(method="smrd", seed=0),
-        es=EarlyStopConfig(window=total),  # 2w > T: guard never satisfied
-        truth=truth,
-    )
-    assert rep.stop_step == total
-    assert len(rep.trace) == total
+def test_no_run_stops_before_two_windows():
+    # the stop compares two trailing windows, so no run stops before it has 2w SURE
+    # values, and each run stops at the first step where its own SURE trace fires
+    stops = []
+    for sigma, seed in ((0.0, 0), (0.02, 1), (0.05, 2)):
+        truth, fm, y, prior = small_setup(sigma, seed)
+        total = prior.schedule.steps
+        window = EarlyStopConfig().resolve_window(total)
+        for method in ("smrd", "csgm_es"):
+            rep = run_reconstruction(y, fm, prior, SamplerConfig(method=method, seed=seed),
+                                     truth=truth)
+            sure = [row.sure for row in rep.trace]
+            fired = [t + 1 for t in range(total) if early_stop_check(sure[: t + 1], window)]
+            assert 2 * window <= rep.stop_step == min(fired, default=total), (sigma, method)
+            stops.append(rep.stop_step)
+    assert min(stops) < total  # some run stops early
 
 
 def test_reconstruction_bit_reproducible():

