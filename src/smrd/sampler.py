@@ -184,11 +184,14 @@ def run_reconstruction(
     only when `truth` is given. Fully deterministic for a given `sampler_cfg.seed`.
     Raises NumericalError, naming the method and step, at the first
     non-finite image energy, SURE value or lambda gradient.
+
+    `es` and `sure_cfg` carry no setting (`sure_cfg` is not read); both
+    slots stay only because perfbench passes `build_controller_configs`'s
+    triple to this function positionally.
     """
     cfg = sampler_cfg or SamplerConfig()
     ttt = ttt or TttConfig()
     es = es or EarlyStopConfig()
-    sure_cfg = sure_cfg or SureConfig()
     rng = np.random.default_rng(cfg.seed)
 
     x_zf = apply_adjoint(fm, y)
@@ -233,11 +236,11 @@ def run_reconstruction(
 
         sure_val = float("nan")
         if use_sure:
-            sure_val = mc_sure(h, v_t, x_zf, lam_t, sure_cfg, rng, h_at_x=x_next)
+            sure_val = mc_sure(h, v_t, x_zf, lam_t, rng, h_at_x=x_next)
             _require_finite(sure_val, "SURE value", cfg.method, t)
             state.sure_history.append(sure_val)
         if use_ttt and t < freeze:
-            grad = grad_sure_lambda(h, x_zf, x_zf, lam_t, sure_cfg, rng)
+            grad = grad_sure_lambda(h, x_zf, x_zf, lam_t, rng)
             _require_finite(grad, "lambda gradient", cfg.method, t)
             update_lambda(state, grad)
 

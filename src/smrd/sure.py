@@ -6,12 +6,12 @@ The running loss is the variance-free form
     SURE(t) = ||h(x_t, lam) - x_zf||^2 / (N * eps)
               * Re<mu, h(x_t + eps*mu, lam) - h(x_t, lam)>
 
-with eps = EPS_REL * max|x_t|, averaged over `SureConfig.probes` standard
-complex normal probes mu per step (one in the sampler; E|mu_i|^2 = 1, so
-the probe term is an unbiased estimate of Re tr of the update's
-Jacobian). `h` must be deterministic for the duration of a call: the
-caller freezes the Langevin noise so both evaluations walk the same path
-and the difference isolates the probe.
+with eps = EPS_REL * max|x_t| and one standard complex normal probe mu
+per SURE value (E|mu_i|^2 = 1, so the probe term is an unbiased estimate
+of Re tr of the update's Jacobian; average independent values for a
+lower-variance one). `h` must be deterministic for the duration of a
+call: the caller freezes the Langevin noise so both evaluations walk the
+same path and the difference isolates the probe.
 
 `sure_known_sigma` is the known-variance form kept for unbiasedness
 oracles; it is not used by the sampling loop. Its conventions: its
@@ -51,13 +51,9 @@ class NumericalError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SureConfig:
-    """Probe count for Monte-Carlo SURE."""
-
-    probes: int = 1
-
-    def __post_init__(self) -> None:
-        if self.probes < 1:
-            raise ValueError("probes must be >= 1")
+    """Monte-Carlo SURE, which carries no setting: every value uses one
+    probe. It stays only because perfbench passes it positionally to
+    `run_reconstruction`."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,9 @@ class TttConfig:
 
 @dataclass(frozen=True)
 class EarlyStopConfig:
-    """Moving-average early stopping; the window is ceil(STOP_FRACTION * T)."""
+    """Moving-average early stopping, which carries no setting: the window
+    is always ceil(STOP_FRACTION * T). It stays only because perfbench
+    passes it positionally to `run_reconstruction`."""
 
     def resolve_window(self, total_steps: int) -> int:
         return _ceil_fraction(STOP_FRACTION, total_steps)
@@ -112,23 +110,21 @@ def perturbation_scale(x: np.ndarray) -> float:
 
 
 def _probe_evaluator(
-    h: UpdateFn, x_t: np.ndarray, x_zf: np.ndarray, cfg: SureConfig, rng: np.random.Generator
+    h: UpdateFn, x_t: np.ndarray, x_zf: np.ndarray, rng: np.random.Generator
 ) -> Callable[..., float]:
-    """Draw one probe set at x_t and return `sure_at(lam, h0=None)`, the
-    variance-free SURE of h at (x_t, lam) averaged over those probes."""
+    """Draw one probe at x_t and return `sure_at(lam, h0=None)`, the
+    variance-free SURE of h at (x_t, lam) with that probe."""
     eps = perturbation_scale(x_t)
-    mus = [draw_probe(rng, x_t.shape) for _ in range(cfg.probes)]
+    mu = draw_probe(rng, x_t.shape)
     n = x_t.size
 
     def sure_at(lam: float, h0: np.ndarray | None = None) -> float:
         h0 = h(x_t, lam) if h0 is None else h0
         base = norm2(h0 - x_zf)
-        total = 0.0
-        for mu in mus:
-            h1 = h(x_t + eps * mu, lam)
-            probe_term = real_inner(mu, h1 - h0) / eps
-            total += base * probe_term / n
-        return total / len(mus)
+        h1 = h(x_t + eps * mu, lam)
+        probe_term = real_inner(mu, h1 - h0) / eps
+        # 0.0 + turns a -0.0 into 0.0, so no trace holds a signed zero
+        return 0.0 + base * probe_term / n
 
     return sure_at
 
@@ -138,7 +134,6 @@ def mc_sure(
     x_t: np.ndarray,
     x_zf: np.ndarray,
     lam: float,
-    cfg: SureConfig,
     rng: np.random.Generator,
     h_at_x: np.ndarray | None = None,
 ) -> float:
@@ -147,7 +142,7 @@ def mc_sure(
     `h_at_x` optionally supplies the already-committed h(x_t, lam) so the
     loss is evaluated on exactly the update that was applied.
     """
-    return _probe_evaluator(h, x_t, x_zf, cfg, rng)(lam, h_at_x)
+    return _probe_evaluator(h, x_t, x_zf, rng)(lam, h_at_x)
 
 
 def sure_known_sigma(
@@ -169,17 +164,16 @@ def grad_sure_lambda(
     x_t: np.ndarray,
     x_zf: np.ndarray,
     lam: float,
-    cfg: SureConfig,
     rng: np.random.Generator,
 ) -> float:
     """d SURE / d lambda as the secant over lam +/- delta, each end clipped
     to [LAMBDA_MIN, LAMBDA_MAX], where lam must lie.
 
-    Both evaluations share one frozen probe set (and whatever noise h has
+    Both evaluations share one frozen probe (and whatever noise h has
     captured), so the difference isolates lambda.
     """
     delta = max(1e-4, 1e-2 * lam)
-    sure_at = _probe_evaluator(h, x_t, x_zf, cfg, rng)
+    sure_at = _probe_evaluator(h, x_t, x_zf, rng)
     up, down = min(delta, LAMBDA_MAX - lam), min(delta, lam - LAMBDA_MIN)
     return (sure_at(lam + up) - sure_at(lam - down)) / (up + down)
 

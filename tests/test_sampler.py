@@ -313,7 +313,7 @@ import numpy as np
 from smrd.forward import ForwardModel, NormalOperator, apply_adjoint, make_poisson_disc_mask
 from smrd.phantom import make_synth_coils
 from smrd.sampler import cg_solve
-from smrd.sure import SureConfig, mc_sure
+from smrd.sure import mc_sure
 
 fm = ForwardModel(sens=make_synth_coils(128, 128, 4, 0),
                   mask=make_poisson_disc_mask(128, 128, 4.0, 16, 1))
@@ -323,7 +323,7 @@ x_zf = apply_adjoint(fm, y)
 x_plus = rng.standard_normal(fm.shape) + 1j * rng.standard_normal(fm.shape)
 op = NormalOperator(fm)
 z = cg_solve(op, 2.0, x_zf, x_plus, 5)
-sure = mc_sure(lambda v, lam: cg_solve(op, lam, v, x_plus, 5), x_zf, x_zf, 2.0, SureConfig(), rng)
+sure = mc_sure(lambda v, lam: cg_solve(op, lam, v, x_plus, 5), x_zf, x_zf, 2.0, rng)
 print(hashlib.sha256(z.tobytes()).hexdigest(), repr(sure))
 """
 

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,12 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def mean_sure(h, x_t, x_zf, count, rng):
+    # the mean of `count` one-probe SURE values drawn in turn from one generator
+    h0 = h(x_t, 1.0)
+    return sum(mc_sure(h, x_t, x_zf, 1.0, rng, h_at_x=h0) for _ in range(count)) / count
+
+
 # mc_sure ----------------------------------------------------------------
 
 def test_mc_sure_constant_update_is_zero():
@@ -33,16 +42,22 @@ def test_mc_sure_constant_update_is_zero():
     x_t = random_complex(rng, (8, 8))
     x_zf = random_complex(rng, (8, 8))
     fixed = random_complex(rng, (8, 8))
-    val = mc_sure(lambda v, lam: fixed, x_t, x_zf, 1.0, SureConfig(), np.random.default_rng(1))
+    val = mc_sure(lambda v, lam: fixed, x_t, x_zf, 1.0, np.random.default_rng(1))
     assert val == 0.0
+
+
+def test_mc_sure_zero_is_unsigned():
+    # a zero residual times a negative probe term is -0.0; no trace holds a signed zero
+    x_t = random_complex(np.random.default_rng(0), (4, 4))
+    val = mc_sure(lambda v, lam: -v, x_t, -x_t, 1.0, np.random.default_rng(1))
+    assert val == 0.0 and math.copysign(1.0, val) == 1.0
 
 
 def test_mc_sure_identity_matches_exact_trace():
     rng = np.random.default_rng(2)
     x_t = random_complex(rng, (16, 16))
     x_zf = random_complex(rng, (16, 16))
-    cfg = SureConfig(probes=1000)
-    val = mc_sure(lambda v, lam: v, x_t, x_zf, 1.0, cfg, np.random.default_rng(3))
+    val = mean_sure(lambda v, lam: v, x_t, x_zf, 1000, np.random.default_rng(3))
     # identity divergence is exactly N, so the expectation is ||x_t - x_zf||^2
     assert val == pytest.approx(norm2(x_t - x_zf), rel=0.02)
 
@@ -57,8 +72,7 @@ def test_mc_sure_divergence_matches_materialized_trace():
     def h(v, lam):
         return np.einsum("ij,j->i", w, v.ravel()).reshape(v.shape)  # numpy's loops, no BLAS threads
 
-    cfg = SureConfig(probes=10_000)
-    val = mc_sure(h, x_t, x_zf, 1.0, cfg, np.random.default_rng(5))
+    val = mean_sure(h, x_t, x_zf, 10_000, np.random.default_rng(5))
     div_est = val * n / norm2(h(x_t, 1.0) - x_zf)
     assert div_est == pytest.approx(np.trace(w), rel=0.02)
 
@@ -73,9 +87,8 @@ def test_mc_sure_probe_batches_agree():
     def h(v, lam):
         return np.einsum("ij,j->i", w, v.ravel()).reshape(v.shape)  # numpy's loops, no BLAS threads
 
-    cfg = SureConfig(probes=10_000)
-    a = mc_sure(h, x_t, x_zf, 1.0, cfg, np.random.default_rng(100))
-    b = mc_sure(h, x_t, x_zf, 1.0, cfg, np.random.default_rng(200))
+    a = mean_sure(h, x_t, x_zf, 10_000, np.random.default_rng(100))
+    b = mean_sure(h, x_t, x_zf, 10_000, np.random.default_rng(200))
     assert a == pytest.approx(b, rel=0.03)
 
 
@@ -83,9 +96,26 @@ def test_mc_sure_deterministic_given_rng():
     rng = np.random.default_rng(7)
     x_t = random_complex(rng, (8, 8))
     x_zf = random_complex(rng, (8, 8))
-    a = mc_sure(lambda v, lam: 0.5 * v, x_t, x_zf, 1.0, SureConfig(), np.random.default_rng(8))
-    b = mc_sure(lambda v, lam: 0.5 * v, x_t, x_zf, 1.0, SureConfig(), np.random.default_rng(8))
+    a = mc_sure(lambda v, lam: 0.5 * v, x_t, x_zf, 1.0, np.random.default_rng(8))
+    b = mc_sure(lambda v, lam: 0.5 * v, x_t, x_zf, 1.0, np.random.default_rng(8))
     assert a == b
+
+
+def test_sure_values_draw_exactly_one_probe():
+    # mc_sure and grad_sure_lambda take one probe from the generator and nothing
+    # else, so a change to the controller moves no later draw of the run
+    rng = np.random.default_rng(30)
+    x_t = random_complex(rng, (4, 4))
+    x_zf = random_complex(rng, (4, 4))
+
+    def h(v, lam):
+        return v / (1.0 + lam)
+
+    for sure_value in (mc_sure, grad_sure_lambda):
+        used, fresh = np.random.default_rng(31), np.random.default_rng(31)
+        sure_value(h, x_t, x_zf, 2.0, used)
+        draw_probe(fresh, x_t.shape)
+        assert np.array_equal(used.standard_normal(8), fresh.standard_normal(8))
 
 
 def test_probe_distribution_unit_entry_variance():
@@ -133,9 +163,7 @@ def test_grad_zero_when_h_ignores_lambda():
     rng = np.random.default_rng(13)
     x_t = random_complex(rng, (8, 8))
     x_zf = random_complex(rng, (8, 8))
-    g = grad_sure_lambda(
-        lambda v, lam: 0.3 * v, x_t, x_zf, 2.0, SureConfig(), np.random.default_rng(14)
-    )
+    g = grad_sure_lambda(lambda v, lam: 0.3 * v, x_t, x_zf, 2.0, np.random.default_rng(14))
     assert abs(g) <= 1e-9
 
 
@@ -150,7 +178,7 @@ def test_grad_matches_scalar_closed_form():
         return (x_zf + lam_ * v) / (1.0 + lam_)
 
     seed = 15
-    g = grad_sure_lambda(h, x_t, x_zf, lam, SureConfig(), np.random.default_rng(seed))
+    g = grad_sure_lambda(h, x_t, x_zf, lam, np.random.default_rng(seed))
     mu = draw_probe(np.random.default_rng(seed), x_t.shape)
     k = float(np.abs(mu[0, 0]) ** 2 * np.abs(x_t[0, 0] - x_zf[0, 0]) ** 2)
     want = k * 3.0 * lam**2 / (1.0 + lam) ** 4
@@ -167,15 +195,14 @@ def test_grad_negative_when_sure_decreases_in_lambda():
     def h(v, lam):
         return v / (1.0 + lam)
 
-    cfg = SureConfig()
-    grid = [mc_sure(h, x_t, x_zf, lam, cfg, np.random.default_rng(17)) for lam in (0.5, 1.0, 2.0, 4.0)]
+    grid = [mc_sure(h, x_t, x_zf, lam, np.random.default_rng(17)) for lam in (0.5, 1.0, 2.0, 4.0)]
     assert all(b < a for a, b in zip(grid, grid[1:]))
-    g = grad_sure_lambda(h, x_t, x_zf, 1.0, cfg, np.random.default_rng(17))
+    g = grad_sure_lambda(h, x_t, x_zf, 1.0, np.random.default_rng(17))
     assert g < 0
 
 
 def test_grad_is_central_difference_of_mc_sure_bitwise():
-    # grad_sure_lambda and mc_sure evaluate probes with the same arithmetic,
+    # grad_sure_lambda and mc_sure evaluate their probe with the same arithmetic,
     # so with the same probe stream the gradient is exactly the central
     # difference of two mc_sure values
     rng = np.random.default_rng(22)
@@ -186,13 +213,12 @@ def test_grad_is_central_difference_of_mc_sure_bitwise():
     def h(v, lam):
         return (x_zf + lam * w * v) / (1.0 + lam * np.abs(w))
 
-    cfg = SureConfig(probes=3)
     lam = 2.0
     delta = max(1e-4, 1e-2 * lam)
     for seed in range(21, 26):
-        g = grad_sure_lambda(h, x_t, x_zf, lam, cfg, np.random.default_rng(seed))
-        hi = mc_sure(h, x_t, x_zf, lam + delta, cfg, np.random.default_rng(seed))
-        lo = mc_sure(h, x_t, x_zf, lam - delta, cfg, np.random.default_rng(seed))
+        g = grad_sure_lambda(h, x_t, x_zf, lam, np.random.default_rng(seed))
+        hi = mc_sure(h, x_t, x_zf, lam + delta, np.random.default_rng(seed))
+        lo = mc_sure(h, x_t, x_zf, lam - delta, np.random.default_rng(seed))
         assert g == (hi - lo) / (2.0 * delta)
 
 
@@ -207,13 +233,12 @@ def test_grad_one_sided_at_bounds():
     def h(v, lam):
         return (x_zf + lam * w * v) / (1.0 + lam * np.abs(w))
 
-    cfg = SureConfig(probes=2)
     for seed in (19, 20):
         def sure(lam):
-            return mc_sure(h, x_t, x_zf, lam, cfg, np.random.default_rng(seed))
+            return mc_sure(h, x_t, x_zf, lam, np.random.default_rng(seed))
 
         def grad(lam):
-            return grad_sure_lambda(h, x_t, x_zf, lam, cfg, np.random.default_rng(seed))
+            return grad_sure_lambda(h, x_t, x_zf, lam, np.random.default_rng(seed))
 
         delta_min = 1e-4  # max(1e-4, 1e-2 * LAMBDA_MIN): LAMBDA_MIN - delta < LAMBDA_MIN
         assert grad(LAMBDA_MIN) == (sure(LAMBDA_MIN + delta_min) - sure(LAMBDA_MIN)) / delta_min
@@ -231,22 +256,20 @@ def test_grad_is_clipped_secant_near_bounds():
     def h(v, lam):
         return (x_zf + lam * w * v) / (1.0 + lam * np.abs(w))
 
-    cfg = SureConfig(probes=2)
     for seed in (28, 29):
         def sure(lam):
-            return mc_sure(h, x_t, x_zf, lam, cfg, np.random.default_rng(seed))
+            return mc_sure(h, x_t, x_zf, lam, np.random.default_rng(seed))
 
         for lam in (LAMBDA_MIN + 5e-5, LAMBDA_MAX - 50.0):  # about delta / 2 inside each bound
             delta = max(1e-4, 1e-2 * lam)
             up, down = min(delta, LAMBDA_MAX - lam), min(delta, lam - LAMBDA_MIN)
             assert 0 < min(up, down) < delta
-            g = grad_sure_lambda(h, x_t, x_zf, lam, cfg, np.random.default_rng(seed))
+            g = grad_sure_lambda(h, x_t, x_zf, lam, np.random.default_rng(seed))
             assert g == (sure(lam + up) - sure(lam - down)) / (up + down)
 
 
-@pytest.mark.parametrize("probes", [1, 3])
-def test_grad_evaluates_h_twice_per_sure(probes):
-    # two SURE values, each h at x_t plus h once per probe, wherever lam lies
+def test_grad_evaluates_h_twice_per_sure():
+    # two SURE values, each h at x_t and at x_t plus the probe, wherever lam lies
     x_t = np.ones((4, 4), dtype=complex)
     for lam in (LAMBDA_MIN, LAMBDA_MIN + 5e-5, 2.0, LAMBDA_MAX - 50.0, LAMBDA_MAX):
         calls = []
@@ -255,8 +278,8 @@ def test_grad_evaluates_h_twice_per_sure(probes):
             calls.append(lam_)
             return v / (1.0 + lam_)
 
-        grad_sure_lambda(h, x_t, x_t, lam, SureConfig(probes=probes), np.random.default_rng(0))
-        assert len(calls) == 2 * (1 + probes)
+        grad_sure_lambda(h, x_t, x_t, lam, np.random.default_rng(0))
+        assert len(calls) == 4
 
 
 # update_lambda ----------------------------------------------------------
@@ -297,7 +320,7 @@ def test_mc_sure_nonfinite_iterate_is_numerical_error():
     x_t = np.ones((4, 4), dtype=complex)
     x_t[0, 0] = np.inf
     with pytest.raises(NumericalError):
-        mc_sure(lambda v, lam: v, x_t, x_t, 1.0, SureConfig(), np.random.default_rng(0))
+        mc_sure(lambda v, lam: v, x_t, x_t, 1.0, np.random.default_rng(0))
 
 
 # early_stop_check -------------------------------------------------------
@@ -353,8 +376,7 @@ def test_early_stop_matches_oracle(history, w):
 # config validation ------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SureConfig(probes=0)
+    assert dataclasses.fields(SureConfig) == ()
     for lambda0 in (0.0, float("nan"), LAMBDA_MIN / 2, 2 * LAMBDA_MAX):
         with pytest.raises(ValueError, match="lambda0 must be in"):
             TttConfig(lambda0=lambda0)
