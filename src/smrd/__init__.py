@@ -30,9 +30,7 @@ from .sampler import (
     write_trace_csv,
 )
 from .sure import (
-    EarlyStopConfig,
     NumericalError,
-    SureConfig,
     TttConfig,
     TttState,
     draw_probe,

@@ -31,7 +31,7 @@ from .forward import (
 from .phantom import PhantomSpec, make_phantom, make_synth_coils
 from .priors import NoiseSchedule, ScorePrior
 from .sampler import ReconReport, SamplerConfig, run_reconstruction
-from .sure import EarlyStopConfig, SureConfig, TttConfig
+from .sure import TttConfig
 
 MASK_KINDS = ("equispaced", "poisson")
 PRIORS = ("truth", "none")  # a Gaussian centered on the truth, or no prior
@@ -206,10 +206,11 @@ def build_sampler_config(cfg: ExperimentConfig, method: str) -> SamplerConfig:
     return SamplerConfig(method=method, seed=derive_seed(cfg.seed, f"recon:{method}"))
 
 
-def build_controller_configs(
-    cfg: ExperimentConfig,
-) -> tuple[TttConfig, EarlyStopConfig, SureConfig]:
-    return TttConfig(lambda0=cfg.lambda0), EarlyStopConfig(), SureConfig()
+def build_controller_configs(cfg: ExperimentConfig) -> tuple[TttConfig, None, None]:
+    """`cfg`'s controller: `lambda0` is its one setting. The two `None`s fill
+    `run_reconstruction`'s unread `es` and `sure_cfg` slots, which stay
+    because perfbench unpacks this triple and passes it on by position."""
+    return TttConfig(lambda0=cfg.lambda0), None, None
 
 
 def simulate(cfg: ExperimentConfig) -> tuple[np.ndarray, ForwardModel, np.ndarray]:

@@ -32,14 +32,14 @@ from .forward import ForwardModel, NormalOperator, apply_adjoint
 from .fourier import complex_normal, norm2, real_inner
 from .priors import ScorePrior, score
 from .sure import (
-    EarlyStopConfig,
     NumericalError,
-    SureConfig,
     TttConfig,
     TttState,
     early_stop_check,
+    freeze_step,
     grad_sure_lambda,
     mc_sure,
+    stop_window,
     update_lambda,
 )
 from .tensorfile import atomic_write
@@ -174,8 +174,8 @@ def run_reconstruction(
     prior: ScorePrior,
     sampler_cfg: SamplerConfig | None = None,
     ttt: TttConfig | None = None,
-    es: EarlyStopConfig | None = None,
-    sure_cfg: SureConfig | None = None,
+    es: object = None,
+    sure_cfg: object = None,
     truth: np.ndarray | None = None,
 ) -> ReconReport:
     """Run the configured method end to end and return the report.
@@ -185,13 +185,12 @@ def run_reconstruction(
     Raises NumericalError, naming the method and step, at the first
     non-finite image energy, SURE value or lambda gradient.
 
-    `es` and `sure_cfg` carry no setting (`sure_cfg` is not read); both
-    slots stay only because perfbench passes `build_controller_configs`'s
-    triple to this function positionally.
+    `es` and `sure_cfg` are never read: the stop window and the freeze
+    step are `sure`'s constants. Both slots stay only because perfbench
+    passes `build_controller_configs`'s triple to this function positionally.
     """
     cfg = sampler_cfg or SamplerConfig()
     ttt = ttt or TttConfig()
-    es = es or EarlyStopConfig()
     rng = np.random.default_rng(cfg.seed)
 
     x_zf = apply_adjoint(fm, y)
@@ -201,8 +200,8 @@ def run_reconstruction(
         return ReconReport(final=x_zf)
 
     total = prior.schedule.steps
-    window = es.resolve_window(total)
-    freeze = ttt.freeze_step(total)
+    window = stop_window(total)
+    freeze = freeze_step(total)
     use_ttt = cfg.method == "smrd"
     use_sure = cfg.method in ("smrd", "csgm_es")  # SURE also drives early stopping
     am_path = cfg.method in ("smrd", "am_fixed")
@@ -210,6 +209,7 @@ def run_reconstruction(
 
     x = complex_normal(rng, fm.shape)
     state = TttState(lam=ttt.lambda0)
+    sure_values: list[float] = []
     trace: list[TraceRow] = []
 
     for t in range(total):
@@ -238,7 +238,7 @@ def run_reconstruction(
         if use_sure:
             sure_val = mc_sure(h, v_t, x_zf, lam_t, rng, h_at_x=x_next)
             _require_finite(sure_val, "SURE value", cfg.method, t)
-            state.sure_history.append(sure_val)
+            sure_values.append(sure_val)
         if use_ttt and t < freeze:
             grad = grad_sure_lambda(h, x_zf, x_zf, lam_t, rng)
             _require_finite(grad, "lambda gradient", cfg.method, t)
@@ -261,7 +261,7 @@ def run_reconstruction(
         )
 
         x = x_next
-        if use_sure and early_stop_check(state.sure_history, window):
+        if use_sure and early_stop_check(sure_values, window):
             break
 
     return ReconReport(final=x, trace=trace)

@@ -1,6 +1,10 @@
 """Monte-Carlo SURE estimation, risk-gradient tuning of the regularization
 weight, and moving-average early stopping.
 
+The controller's only setting is `TttConfig.lambda0`; the rest are this
+module's constants. A run of T steps updates lambda before step
+`freeze_step(T)` and stops early on a window of `stop_window(T)` SURE values.
+
 The running loss is the variance-free form
 
     SURE(t) = ||h(x_t, lam) - x_zf||^2 / (N * eps)
@@ -23,7 +27,7 @@ Jacobian trace over real and imaginary coordinates (identity map -> 2N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,15 +49,23 @@ ADAM_EPS = 1e-8
 UpdateFn = Callable[[np.ndarray, float], np.ndarray]
 
 
+def _ceil_fraction(frac: float, total_steps: int) -> int:
+    # ceil(frac * T), guarded against float dust pushing an exact product past its ceil
+    return int(math.ceil(frac * total_steps - 1e-9))
+
+
+def freeze_step(total_steps: int) -> int:
+    """First step of a `total_steps` run with no lambda update."""
+    return _ceil_fraction(FREEZE_FRACTION, total_steps)
+
+
+def stop_window(total_steps: int) -> int:
+    """Early-stop window, in SURE values, of a `total_steps` run."""
+    return _ceil_fraction(STOP_FRACTION, total_steps)
+
+
 class NumericalError(ArithmeticError):
     """A reconstruction or its controller produced a non-finite value."""
-
-
-@dataclass(frozen=True)
-class SureConfig:
-    """Monte-Carlo SURE, which carries no setting: every value uses one
-    probe. It stays only because perfbench passes it positionally to
-    `run_reconstruction`."""
 
 
 @dataclass(frozen=True)
@@ -67,34 +79,15 @@ class TttConfig:
         if not LAMBDA_MIN <= self.lambda0 <= LAMBDA_MAX:
             raise ValueError(f"lambda0 must be in [{LAMBDA_MIN}, {LAMBDA_MAX}], got {self.lambda0}")
 
-    def freeze_step(self, total_steps: int) -> int:
-        return _ceil_fraction(FREEZE_FRACTION, total_steps)
-
-
-@dataclass(frozen=True)
-class EarlyStopConfig:
-    """Moving-average early stopping, which carries no setting: the window
-    is always ceil(STOP_FRACTION * T). It stays only because perfbench
-    passes it positionally to `run_reconstruction`."""
-
-    def resolve_window(self, total_steps: int) -> int:
-        return _ceil_fraction(STOP_FRACTION, total_steps)
-
-
-def _ceil_fraction(frac: float, total_steps: int) -> int:
-    # ceil(frac * T), guarded against float dust pushing an exact product past its ceil
-    return int(math.ceil(frac * total_steps - 1e-9))
-
 
 @dataclass
 class TttState:
-    """Evolving lambda, optimizer moments and SURE bookkeeping for one run."""
+    """Evolving lambda and its Adam moments for one run."""
 
     lam: float
     m: float = 0.0
     v: float = 0.0
     steps_taken: int = 0
-    sure_history: list[float] = field(default_factory=list)
 
 
 def draw_probe(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -16,7 +16,7 @@ from smrd.config import (
 )
 from smrd.forward import make_equispaced_mask
 from smrd.priors import NoiseSchedule, ScorePrior
-from smrd.sure import EarlyStopConfig, SureConfig, TttConfig
+from smrd.sure import TttConfig
 
 
 def test_round_trip_through_flat_format(tmp_path):
@@ -90,7 +90,7 @@ def test_library_defaults_are_the_clis():
     prior = build_prior(cfg, np.zeros((cfg.size, cfg.size), dtype=complex))
     assert prior.schedule == NoiseSchedule()
     assert prior.tau2 == ScorePrior().tau2
-    assert build_controller_configs(cfg) == (TttConfig(), EarlyStopConfig(), SureConfig())
+    assert build_controller_configs(cfg) == (TttConfig(), None, None)
 
 
 def test_defaults_read_from_components_keep_their_values():

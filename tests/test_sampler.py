@@ -30,7 +30,7 @@ from smrd.sampler import (
     langevin_step,
     run_reconstruction,
 )
-from smrd.sure import LAMBDA_MAX, LAMBDA_MIN, EarlyStopConfig, TttConfig, early_stop_check
+from smrd.sure import LAMBDA_MAX, LAMBDA_MIN, TttConfig, early_stop_check, freeze_step, stop_window
 
 
 def random_complex(rng, shape):
@@ -605,7 +605,7 @@ def test_no_run_stops_before_two_windows():
     for sigma, seed in ((0.0, 0), (0.02, 1), (0.05, 2)):
         truth, fm, y, prior = small_setup(sigma, seed)
         total = prior.schedule.steps
-        window = EarlyStopConfig().resolve_window(total)
+        window = stop_window(total)
         for method in ("smrd", "csgm_es"):
             rep = run_reconstruction(y, fm, prior, SamplerConfig(method=method, seed=seed),
                                      truth=truth)
@@ -614,6 +614,21 @@ def test_no_run_stops_before_two_windows():
             assert 2 * window <= rep.stop_step == min(fired, default=total), (sigma, method)
             stops.append(rep.stop_step)
     assert min(stops) < total  # some run stops early
+
+
+def test_controller_slots_are_never_read():
+    # perfbench passes build_controller_configs's triple by position, so the es and
+    # sure_cfg slots stay; a run must not read them, whatever they hold
+    truth, fm, y, prior = small_setup(sigma=0.02, seed=1)
+
+    def report_bytes(es, sure_cfg, method):
+        rep = run_reconstruction(y, fm, prior, SamplerConfig(method=method, seed=5), TttConfig(),
+                                 es, sure_cfg, truth=truth)
+        rows = np.array([[r.t, r.sure, r.lam, r.mse, r.psnr] for r in rep.trace])
+        return rep.final.tobytes(), rows.tobytes()
+
+    for method in ("smrd", "csgm_es"):
+        assert report_bytes(object(), object(), method) == report_bytes(None, None, method)
 
 
 def test_reconstruction_bit_reproducible():
@@ -640,7 +655,7 @@ def test_lambda_frozen_in_trace():
     ttt = TttConfig()
     rep = run_reconstruction(y, fm, prior, SamplerConfig(method="smrd", seed=12), ttt=ttt,
                              truth=truth)
-    freeze = ttt.freeze_step(prior.schedule.steps)
+    freeze = freeze_step(prior.schedule.steps)
     lams = [r.lam for r in rep.trace]
     frozen = lams[freeze:]
     assert all(v == frozen[0] for v in frozen)

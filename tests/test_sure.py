@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,15 +10,15 @@ from smrd.sure import (
     ALPHA,
     LAMBDA_MAX,
     LAMBDA_MIN,
-    EarlyStopConfig,
     NumericalError,
-    SureConfig,
     TttConfig,
     TttState,
     draw_probe,
     early_stop_check,
+    freeze_step,
     grad_sure_lambda,
     mc_sure,
+    stop_window,
     sure_known_sigma,
     update_lambda,
 )
@@ -376,7 +375,6 @@ def test_early_stop_matches_oracle(history, w):
 # config validation ------------------------------------------------------
 
 def test_config_validation():
-    assert dataclasses.fields(SureConfig) == ()
     for lambda0 in (0.0, float("nan"), LAMBDA_MIN / 2, 2 * LAMBDA_MAX):
         with pytest.raises(ValueError, match="lambda0 must be in"):
             TttConfig(lambda0=lambda0)
@@ -385,5 +383,5 @@ def test_config_validation():
     # the exact integer ceilings; a bare math.ceil(0.14 * T) is one too many at T = 50, 100,
     # 150 and 300, where float dust lands the product just above an integer
     for total in (1, 7, 50, 60, 100, 120, 150, 300):
-        assert EarlyStopConfig().resolve_window(total) == -(-14 * total // 100)
-        assert TttConfig().freeze_step(total) == -(-43 * total // 100)
+        assert stop_window(total) == -(-14 * total // 100)
+        assert freeze_step(total) == -(-43 * total // 100)
