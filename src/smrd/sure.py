@@ -10,12 +10,12 @@ The running loss is the variance-free form
     SURE(t) = ||h(x_t, lam) - x_zf||^2 / (N * eps)
               * Re<mu, h(x_t + eps*mu, lam) - h(x_t, lam)>
 
-with eps = EPS_REL * max|x_t| and one standard complex normal probe mu
-per SURE value (E|mu_i|^2 = 1, so the probe term is an unbiased estimate
-of Re tr of the update's Jacobian; average independent values for a
-lower-variance one). `h` must be deterministic for the duration of a
-call: the caller freezes the Langevin noise so both evaluations walk the
-same path and the difference isolates the probe.
+with eps = max(EPS_REL * max|x_t|, EPS_FLOOR) and one standard complex
+normal probe mu per SURE value (E|mu_i|^2 = 1, so the probe term is an
+unbiased estimate of Re tr of the update's Jacobian; average independent
+values for a lower-variance one). `h` must be deterministic for the
+duration of a call: the caller freezes the Langevin noise so both
+evaluations walk the same path and the difference isolates the probe.
 
 `sure_known_sigma` is the known-variance form kept for unbiasedness
 oracles; it is not used by the sampling loop. Its conventions: its
@@ -95,31 +95,25 @@ def draw_probe(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return math.sqrt(0.5) * complex_normal(rng, shape)
 
 
-def perturbation_scale(x: np.ndarray) -> float:
-    eps = max(EPS_REL * float(np.max(np.abs(x))), EPS_FLOOR)
+def _probe(x_t: np.ndarray, rng: np.random.Generator) -> tuple[float, np.ndarray]:
+    """One probe at x_t: its scale eps, checked before the draw, and mu."""
+    eps = max(EPS_REL * float(np.max(np.abs(x_t))), EPS_FLOOR)
     if not np.isfinite(eps):
         raise NumericalError(f"degenerate perturbation scale {eps}")
-    return eps
+    return eps, draw_probe(rng, x_t.shape)
 
 
-def _probe_evaluator(
-    h: UpdateFn, x_t: np.ndarray, x_zf: np.ndarray, rng: np.random.Generator
-) -> Callable[..., float]:
-    """Draw one probe at x_t and return `sure_at(lam, h0=None)`, the
-    variance-free SURE of h at (x_t, lam) with that probe."""
-    eps = perturbation_scale(x_t)
-    mu = draw_probe(rng, x_t.shape)
-    n = x_t.size
-
-    def sure_at(lam: float, h0: np.ndarray | None = None) -> float:
-        h0 = h(x_t, lam) if h0 is None else h0
-        base = norm2(h0 - x_zf)
-        h1 = h(x_t + eps * mu, lam)
-        probe_term = real_inner(mu, h1 - h0) / eps
-        # 0.0 + turns a -0.0 into 0.0, so no trace holds a signed zero
-        return 0.0 + base * probe_term / n
-
-    return sure_at
+def _sure(
+    h: UpdateFn, x_t: np.ndarray, x_zf: np.ndarray, lam: float, eps: float, mu: np.ndarray,
+    h0: np.ndarray | None = None,
+) -> float:
+    """Variance-free SURE of h at (x_t, lam) with the probe (eps, mu)."""
+    h0 = h(x_t, lam) if h0 is None else h0
+    base = norm2(h0 - x_zf)
+    h1 = h(x_t + eps * mu, lam)
+    probe_term = real_inner(mu, h1 - h0) / eps
+    # 0.0 + turns a -0.0 into 0.0, so no trace holds a signed zero
+    return 0.0 + base * probe_term / x_t.size
 
 
 def mc_sure(
@@ -135,7 +129,7 @@ def mc_sure(
     `h_at_x` optionally supplies the already-committed h(x_t, lam) so the
     loss is evaluated on exactly the update that was applied.
     """
-    return _probe_evaluator(h, x_t, x_zf, rng)(lam, h_at_x)
+    return _sure(h, x_t, x_zf, lam, *_probe(x_t, rng), h0=h_at_x)
 
 
 def sure_known_sigma(
@@ -166,9 +160,10 @@ def grad_sure_lambda(
     captured), so the difference isolates lambda.
     """
     delta = max(1e-4, 1e-2 * lam)
-    sure_at = _probe_evaluator(h, x_t, x_zf, rng)
+    eps, mu = _probe(x_t, rng)
     up, down = min(delta, LAMBDA_MAX - lam), min(delta, lam - LAMBDA_MIN)
-    return (sure_at(lam + up) - sure_at(lam - down)) / (up + down)
+    sure_up = _sure(h, x_t, x_zf, lam + up, eps, mu)
+    return (sure_up - _sure(h, x_t, x_zf, lam - down, eps, mu)) / (up + down)
 
 
 def update_lambda(state: TttState, grad: float) -> TttState:

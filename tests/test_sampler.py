@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from smrd import sampler
-from smrd.config import ExperimentConfig, build_prior, reconstruct, simulate
+from smrd.config import MASK_KINDS, ExperimentConfig, build_prior, reconstruct, simulate
 from smrd.forward import (
     ForwardModel,
     NormalOperator,
@@ -24,6 +24,8 @@ from smrd.metrics import psnr
 from smrd.phantom import PhantomSpec, make_phantom, make_synth_coils
 from smrd.priors import BETA_MIN, NoiseSchedule, ScorePrior, score
 from smrd.sampler import (
+    CG_ITERS,
+    METHODS,
     SamplerConfig,
     cg_solve,
     csgm_step,
@@ -509,6 +511,46 @@ def test_one_operator_build_per_reconstruction(monkeypatch, method):
     run_reconstruction(y, fm, prior, SamplerConfig(method=method))
     assert len(builds) == (0 if method == "zero_filled" else 1)
     assert all(b is fm for b in builds)
+
+
+def run_work(method, stop, total):
+    # (cg_solve calls, Gram applies) of a `total`-step run that stopped at step `stop`:
+    # smrd solves 6 times per step before the freeze and twice after, am_fixed once
+    # per step, each solve applies the Gram once to warm-start and once per CG
+    # iteration, and csgm/csgm_es apply it once per step and once per SURE value
+    tuned = min(freeze_step(total), stop)
+    solves = {"smrd": 6 * tuned + 2 * (stop - tuned), "am_fixed": stop}.get(method, 0)
+    extra = {"csgm": stop, "csgm_es": 2 * stop}.get(method, 0)
+    return solves, (1 + CG_ITERS) * solves + extra
+
+
+def test_run_work_is_fixed_by_the_stop_step(monkeypatch):
+    # perfbench pins the formula's counts of a 300-step run that does not stop early
+    assert run_work("smrd", 300, 300) == (1116, 6696)
+    assert run_work("am_fixed", 300, 300) == (300, 1800)
+
+    counts = {"solves": 0, "applies": 0}
+    solve, gram = sampler.cg_solve, NormalOperator.gram
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_gram(self, *args, **kwargs):
+        counts["applies"] += 1
+        return gram(self, *args, **kwargs)
+
+    monkeypatch.setattr(sampler, "cg_solve", counted_solve)
+    monkeypatch.setattr(NormalOperator, "gram", counted_gram)
+    base = ExperimentConfig(size=32, coils=4, steps=60, calib=8, sigma=0.02)
+    for mask in MASK_KINDS:
+        cfg = base.replace(mask=mask).validate()
+        truth, fm, y = simulate(cfg)
+        for method in METHODS:
+            counts.update(solves=0, applies=0)
+            rep = reconstruct(cfg, method, truth, fm, y)
+            want = run_work(method, rep.stop_step, cfg.steps)
+            assert (counts["solves"], counts["applies"]) == want, (mask, method, rep.stop_step)
 
 
 # data-consistency update: cg_solve on the zero-filled image A^H y ------

@@ -316,10 +316,15 @@ def test_update_lambda_rejects_nonfinite_grad(grad):
 
 
 def test_mc_sure_nonfinite_iterate_is_numerical_error():
+    # the probe scale is checked before the probe is drawn, so a failed SURE value
+    # leaves the generator where it was
     x_t = np.ones((4, 4), dtype=complex)
     x_t[0, 0] = np.inf
-    with pytest.raises(NumericalError):
-        mc_sure(lambda v, lam: v, x_t, x_t, 1.0, np.random.default_rng(0))
+    for sure_value in (mc_sure, grad_sure_lambda):
+        rng = np.random.default_rng(0)
+        with pytest.raises(NumericalError):
+            sure_value(lambda v, lam: v, x_t, x_t, 1.0, rng)
+        assert np.array_equal(rng.standard_normal(8), np.random.default_rng(0).standard_normal(8))
 
 
 # early_stop_check -------------------------------------------------------
