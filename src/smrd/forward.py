@@ -62,7 +62,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
+        if not 0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
 
 

@@ -43,7 +43,7 @@ class NoiseSchedule:
         if self.levels < 1 or self.steps < 1 or self.steps % self.levels:
             raise ValueError("steps must be a positive multiple of levels >= 1, "
                              f"got steps={self.steps}, levels={self.levels}")
-        if self.eps0 <= 0:
+        if not 0 < self.eps0 < np.inf:
             raise ValueError("eps0 must be positive")
         if self.levels == 1:
             betas = np.array([BETA_MIN])
@@ -73,7 +73,7 @@ class ScorePrior:
     tau2: float = 1e-5              # Gaussian prior variance (positive even without a mean)
 
     def __post_init__(self) -> None:
-        if self.tau2 <= 0:
+        if not 0 < self.tau2 < np.inf:
             raise ValueError(f"tau2 must be positive, got {self.tau2}")
 
 

@@ -112,14 +112,14 @@ def cg_solve(
     (A^H A + lam I) z = x_zf + lam * x_plus, warm-started at z0 = x_plus,
     with the operator `op` prepared from the forward model.
 
-    lam must be strictly positive (A^H A alone is singular under
+    lam must be positive and finite (A^H A alone is singular under
     undersampling) and iters nonnegative. The iteration is deterministic, so
     `iters = k` returns the k-th iterate of one and the same CG sequence
     (`iters = 0` returns a copy of x_plus). The inputs are never written to.
     The solve runs in `op.cg` and allocates only the iterate it returns, so
     one operator serves one solve at a time.
     """
-    if lam <= 0:
+    if not 0 < lam < math.inf:
         raise ValueError(f"lambda must be positive, got {lam}")
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")

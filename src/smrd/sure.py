@@ -3,7 +3,8 @@ weight, and moving-average early stopping.
 
 The controller's only setting is `TttConfig.lambda0`; the rest are this
 module's constants. A run of T steps updates lambda before step
-`freeze_step(T)` and stops early on a window of `stop_window(T)` SURE values.
+`freeze_step(T)` = ceil(43% of T) and stops early on a window of
+`stop_window(T)` = ceil(14% of T) SURE values, both exact integer ceilings.
 
 The running loss is the variance-free form
 
@@ -37,8 +38,8 @@ from .fourier import complex_normal, norm2, real_inner
 LAMBDA_MIN = 1e-4
 LAMBDA_MAX = 1e4
 ALPHA = 0.2  # Adam step size on lambda
-FREEZE_FRACTION = 0.43  # no lambda updates from ceil(FREEZE_FRACTION * T) on
-STOP_FRACTION = 0.14  # early-stop window of ceil(STOP_FRACTION * T) steps
+FREEZE_PERCENT = 43  # no lambda updates from ceil(43% of T) on
+STOP_PERCENT = 14  # early-stop window of ceil(14% of T) steps
 EPS_REL = 1e-3  # probe scale relative to max |x_t|
 EPS_FLOOR = 1e-8  # absolute floor on the probe scale, keeps eps > 0 on tiny iterates
 # Adam's constants (Kingma & Ba, ICLR 2015)
@@ -49,19 +50,14 @@ ADAM_EPS = 1e-8
 UpdateFn = Callable[[np.ndarray, float], np.ndarray]
 
 
-def _ceil_fraction(frac: float, total_steps: int) -> int:
-    # ceil(frac * T), guarded against float dust pushing an exact product past its ceil
-    return int(math.ceil(frac * total_steps - 1e-9))
-
-
 def freeze_step(total_steps: int) -> int:
     """First step of a `total_steps` run with no lambda update."""
-    return _ceil_fraction(FREEZE_FRACTION, total_steps)
+    return -(-FREEZE_PERCENT * total_steps // 100)
 
 
 def stop_window(total_steps: int) -> int:
     """Early-stop window, in SURE values, of a `total_steps` run."""
-    return _ceil_fraction(STOP_FRACTION, total_steps)
+    return -(-STOP_PERCENT * total_steps // 100)
 
 
 class NumericalError(ArithmeticError):

@@ -280,21 +280,6 @@ def test_adjoint_full_single_coil_unit_sens_is_ifft():
     assert np.max(np.abs(apply_adjoint(fm, y) - ifft2c(y[0]))) < 1e-12
 
 
-def test_adjoint_identity_random_models():
-    rng = np.random.default_rng(6)
-    for trial in range(20):
-        h = w = int(rng.choice([8, 16]))
-        coils = int(rng.choice([1, 2, 4]))
-        mask = make_equispaced_mask(h, w, 2.0, 0.0, seed=trial)
-        fm = ForwardModel(sens=random_complex(rng, (coils, h, w)), mask=mask)
-        x = random_complex(rng, (h, w))
-        y = random_complex(rng, (coils, h, w))
-        lhs = np.vdot(apply_forward(fm, x), y)
-        rhs = np.vdot(x, apply_adjoint(fm, y))
-        scale = np.linalg.norm(apply_forward(fm, x)) * np.linalg.norm(y)
-        assert abs(lhs - rhs) <= 1e-10 * max(scale, 1.0)
-
-
 def test_normal_operator_is_contraction_for_sos_coils():
     h = w = 32
     mask = make_equispaced_mask(h, w, 4.0, 0.08, seed=7)
@@ -414,6 +399,7 @@ def test_noise_deterministic():
 
 
 def test_noise_negative_sigma_rejected():
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma=-1.0)
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            NoiseSpec(sigma=sigma)
 

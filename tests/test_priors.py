@@ -44,8 +44,9 @@ def test_eta_out_of_range():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        NoiseSchedule(eps0=0.0)
+    for eps0 in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            NoiseSchedule(eps0=eps0)
 
 
 @pytest.mark.parametrize("levels, steps", [(4, 10), (0, 300), (30, 0), (2, -2)])
@@ -120,5 +121,6 @@ def test_score_rejects_bad_step():
 def test_prior_validation():
     with pytest.raises(ValueError):
         ScorePrior(mean=np.zeros((4, 4)), tau2=0.0)
-    with pytest.raises(ValueError):
-        ScorePrior(tau2=-1.0)  # unused without a mean, still checked
+    for tau2 in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ScorePrior(tau2=tau2)  # unused without a mean, still checked

@@ -33,10 +33,7 @@ from smrd.sampler import (
     run_reconstruction,
 )
 from smrd.sure import LAMBDA_MAX, LAMBDA_MIN, TttConfig, early_stop_check, freeze_step, stop_window
-
-
-def random_complex(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from tests.test_fourier import random_complex
 
 
 def unit_model(h, w, accel=1.0, acs=0.0, seed=0):
@@ -109,33 +106,6 @@ def test_cg_large_lambda_returns_x_plus():
     x_plus = random_complex(rng, (8, 8))
     got = cg_solve(NormalOperator(fm), 1e6, x_zf, x_plus, 5)
     assert np.linalg.norm(got - x_plus) / np.linalg.norm(x_plus) <= 1e-5
-
-
-@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
-def test_cg_matches_dense_solve(lam):
-    fm = unit_model(8, 8, accel=2.0, seed=5)
-    rng = np.random.default_rng(4)
-    x_zf = random_complex(rng, (8, 8))
-    x_plus = random_complex(rng, (8, 8))
-    mat = materialize_normal(fm, lam)
-    want = np.linalg.solve(mat, (x_zf + lam * x_plus).ravel()).reshape(8, 8)
-    got = cg_solve(NormalOperator(fm), lam, x_zf, x_plus, 64)
-    assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
-
-
-def test_cg_residual_monotone():
-    fm = unit_model(8, 8, accel=2.0, seed=6)
-    rng = np.random.default_rng(5)
-    x_zf = random_complex(rng, (8, 8))
-    x_plus = random_complex(rng, (8, 8))
-    op = NormalOperator(fm)
-    for lam in (0.1, 1.0, 10.0):
-        resid = [
-            np.linalg.norm(x_zf + lam * x_plus - apply_adjoint(fm, apply_forward(fm, z)) - lam * z)
-            for z in (cg_solve(op, lam, x_zf, x_plus, k) for k in range(6))
-        ]
-        for a, b in zip(resid, resid[1:]):
-            assert b <= a * (1 + 1e-10) + 1e-12 * resid[0]
 
 
 def _odd_random_mask_model():
@@ -231,16 +201,6 @@ def reference_cg(fm, lam, x_zf, x_plus, iters, gram=shift_free_gram):
     return z
 
 
-@pytest.mark.parametrize("name", sorted(CG_MODELS))
-def test_cg_one_iteration_matches_reference_step(name):
-    fm = CG_MODELS[name]()
-    rng = np.random.default_rng(12)
-    x_zf = random_complex(rng, fm.shape)
-    x_plus = random_complex(rng, fm.shape)
-    got = cg_solve(NormalOperator(fm), 0.8, x_zf, x_plus, 1)
-    assert_matches_references(name, got, lambda gram: reference_cg(fm, 0.8, x_zf, x_plus, 1, gram))
-
-
 @pytest.mark.parametrize("name", sorted(BITWISE_MODELS))
 def test_cg_is_bitwise_the_reference(name):
     fm = BITWISE_MODELS[name]()
@@ -251,19 +211,6 @@ def test_cg_is_bitwise_the_reference(name):
     for lam in (0.5, 4.0):
         assert_matches_references(name, cg_solve(op, lam, x_zf, x_plus, 5),
                                   lambda gram: reference_cg(fm, lam, x_zf, x_plus, 5, gram))
-
-
-@pytest.mark.parametrize("iters", [0, 1, 3])
-def test_cg_leaves_inputs_alone_and_returns_its_own_array(iters):
-    fm = _odd_random_mask_model()
-    rng = np.random.default_rng(13)
-    x_zf = random_complex(rng, fm.shape)
-    x_plus = random_complex(rng, fm.shape)
-    before = (x_zf.copy(), x_plus.copy(), fm.sens.copy(), fm.mask.keep.copy())
-    got = cg_solve(NormalOperator(fm), 1.5, x_zf, x_plus, iters)
-    for a, b in zip(before, (x_zf, x_plus, fm.sens, fm.mask.keep)):
-        assert np.array_equal(a, b)
-    assert not np.shares_memory(got, x_zf) and not np.shares_memory(got, x_plus)
 
 
 def test_cg_runs_in_its_operators_arrays():
@@ -344,10 +291,9 @@ def test_solver_bits_do_not_depend_on_the_blas_thread_count():
 def test_cg_rejects_nonpositive_lambda():
     fm = unit_model(4, 4)
     z = np.zeros((4, 4), dtype=complex)
-    with pytest.raises(ValueError):
-        cg_solve(NormalOperator(fm), 0.0, z, z, 5)
-    with pytest.raises(ValueError):
-        cg_solve(NormalOperator(fm), -1.0, z, z, 5)
+    for lam in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cg_solve(NormalOperator(fm), lam, z, z, 5)
 
 
 def test_cg_rejects_negative_iters():
@@ -671,17 +617,6 @@ def test_controller_slots_are_never_read():
 
     for method in ("smrd", "csgm_es"):
         assert report_bytes(object(), object(), method) == report_bytes(None, None, method)
-
-
-def test_reconstruction_bit_reproducible():
-    truth, fm, y, prior = small_setup(sigma=0.01)
-    reps = [
-        run_reconstruction(y, fm, prior, SamplerConfig(method="smrd", seed=11), truth=truth)
-        for _ in range(2)
-    ]
-    assert np.array_equal(reps[0].final, reps[1].final)
-    assert [r.sure for r in reps[0].trace] == [r.sure for r in reps[1].trace]
-    assert [r.lam for r in reps[0].trace] == [r.lam for r in reps[1].trace]
 
 
 def test_smrd_beats_zero_filled_on_phantom():
