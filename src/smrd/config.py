@@ -64,9 +64,7 @@ class ExperimentConfig:
     sigma: float = 0.0
     # prior
     prior: str = "truth"  # one of PRIORS
-    levels: int = NoiseSchedule.levels
-    steps: int = NoiseSchedule.steps  # a multiple of levels; each level runs steps // levels
-    eps0: float = NoiseSchedule.eps0
+    steps: int = NoiseSchedule.steps  # a multiple of priors.LEVELS = 30, steps // 30 per level
     # sampler / controller
     method: str = SamplerConfig.method
     lambda0: float = TttConfig.lambda0
@@ -190,8 +188,7 @@ def build_noise_spec(cfg: ExperimentConfig) -> NoiseSpec:
 
 
 def _score_prior(cfg: ExperimentConfig, mean: np.ndarray | None = None) -> ScorePrior:
-    schedule = NoiseSchedule(levels=cfg.levels, steps=cfg.steps, eps0=cfg.eps0)
-    return ScorePrior(schedule=schedule, mean=mean)
+    return ScorePrior(schedule=NoiseSchedule(steps=cfg.steps), mean=mean)
 
 
 def build_prior(cfg: ExperimentConfig, truth: np.ndarray | None) -> ScorePrior:

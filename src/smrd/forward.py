@@ -63,7 +63,7 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if not 0 <= self.sigma < np.inf:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ def make_equispaced_mask(
     """
     if h < 1 or w < 1:
         raise ValueError("mask dimensions must be positive")
-    if accel < 1:
-        raise ValueError(f"acceleration must be >= 1, got {accel}")
+    if not 1 <= accel < np.inf:
+        raise ValueError(f"acceleration must be in [1, inf), got {accel}")
     if accel > w:
         raise ValueError(f"acceleration {accel} exceeds width {w}")
     if not 0 <= acs_fraction < 1:
@@ -267,8 +267,8 @@ def make_poisson_disc_mask(
         raise ValueError("mask dimensions must be positive")
     if calib < 0 or calib > min(h, w):
         raise ValueError(f"calib must be in [0, min(h, w)], got {calib}")
-    if accel < 1:
-        raise ValueError(f"infeasible acceleration {accel}: more points than pixels")
+    if not 1 <= accel < np.inf:
+        raise ValueError(f"acceleration must be in [1, inf), got {accel}")
 
     target = h * w / accel
     if calib * calib > 1.1 * target:

@@ -7,61 +7,51 @@ noise, whose score is (mean - x) / (tau2 + beta_t^2). Without a mean
 there is no prior: the score is zero and the sampler reduces to data
 consistency plus noise.
 
-`NoiseSchedule(levels, steps, eps0)` owns step timing: step t of `steps`
-reads its noise level from `schedule.beta(t)` and its Langevin step size
-from `schedule.eta(t)`. Its noise levels fall geometrically from the
-module constants `BETA_MAX` to `BETA_MIN`.
+`NoiseSchedule(steps)` owns step timing: step t of `steps` reads its
+noise level from `schedule.beta(t)` and its Langevin step size from
+`schedule.eta(t)`. The levels are fixed by the score model, not
+settings: `LEVELS` of them fall geometrically from `BETA_MAX` to
+`BETA_MIN` (the table `BETAS`), and the last runs at step size `EPS0`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 BETA_MAX = 1.0  # noise level of a schedule's first level
 BETA_MIN = 0.003  # and of its last
+LEVELS = 30  # noise levels per schedule
+EPS0 = 1.8e-6  # Langevin step size of the last level
+
+BETAS = BETA_MAX * (BETA_MIN / BETA_MAX) ** (np.arange(LEVELS) / (LEVELS - 1))
+BETAS.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Geometric noise levels beta and Langevin step sizes eta over `steps`.
-
-    betas[l] = BETA_MAX * (BETA_MIN / BETA_MAX)^(l / (levels - 1)) for level
-    l = 0..levels-1 (strictly decreasing, read-only; [BETA_MIN] for one
-    level). `steps` is a multiple of `levels` and each level runs
-    steps // levels of them, so step t has beta_t = betas[t // (steps //
-    levels)] and eta_t = eps0 * beta_t^2 / betas[-1]^2.
+    """The `LEVELS` noise levels `BETAS` over `steps` steps, a multiple of
+    `LEVELS`: each level runs steps // LEVELS of them, so step t has
+    beta_t = BETAS[t // (steps // LEVELS)] and Langevin step size
+    eta_t = EPS0 * beta_t^2 / BETAS[-1]^2.
     """
 
-    levels: int = 30
     steps: int = 300
-    eps0: float = 1.8e-6
-    betas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.levels < 1 or self.steps < 1 or self.steps % self.levels:
-            raise ValueError("steps must be a positive multiple of levels >= 1, "
-                             f"got steps={self.steps}, levels={self.levels}")
-        if not 0 < self.eps0 < np.inf:
-            raise ValueError("eps0 must be positive")
-        if self.levels == 1:
-            betas = np.array([BETA_MIN])
-        else:
-            ratio = BETA_MIN / BETA_MAX
-            betas = BETA_MAX * ratio ** (np.arange(self.levels) / (self.levels - 1))
-        betas.flags.writeable = False
-        object.__setattr__(self, "betas", betas)
+        if self.steps < 1 or self.steps % LEVELS:
+            raise ValueError(f"steps must be a positive multiple of {LEVELS}, got {self.steps}")
 
     def beta(self, t: int) -> float:
         """Noise level of step t; a step outside [0, steps) is a ValueError."""
         if not 0 <= t < self.steps:
             raise ValueError(f"step {t} outside [0, {self.steps})")
-        return float(self.betas[t // (self.steps // self.levels)])
+        return float(BETAS[t // (self.steps // LEVELS)])
 
     def eta(self, t: int) -> float:
-        """Langevin step size at step t: eps0 * (beta_t / beta_last)^2."""
-        return self.eps0 * (self.beta(t) / float(self.betas[-1])) ** 2
+        """Langevin step size at step t: EPS0 * (beta_t / beta_last)^2."""
+        return EPS0 * (self.beta(t) / float(BETAS[-1])) ** 2
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ def cg_solve(
     one operator serves one solve at a time.
     """
     if not 0 < lam < math.inf:
-        raise ValueError(f"lambda must be positive, got {lam}")
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")
     if x_zf.shape != op.shape or x_plus.shape != op.shape:

@@ -136,8 +136,8 @@ def sure_known_sigma(
     N counts complex entries; see the module docstring for the sigma and
     divergence conventions that make this unbiased for E||x_hat - x||^2.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     n = np.asarray(x_hat).size
     return norm2(x_hat - x_zf) - n * sigma**2 + sigma**2 * divergence
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smrd import cli, config
+from smrd import cli, config, priors
 from smrd.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _resolve_config, build_parser, main
 from smrd.config import (
     FIELD_TYPES,
@@ -30,8 +30,7 @@ from smrd.tensorfile import load_tensor, save_tensor
 from tests.test_tensorfile import MALFORMED
 
 FAST = [
-    "--size", "32", "--coils", "2", "--levels", "10", "--steps", "30",
-    "--accel", "4", "--seed", "5",
+    "--size", "32", "--coils", "2", "--steps", "30", "--accel", "4", "--seed", "5",
 ]
 
 
@@ -64,8 +63,7 @@ def test_simulate_outputs_and_noiseless_kspace(tmp_path):
     assert manifest["noise_std"] == "0.0"
     assert 3.6 <= float(manifest["realized_accel"]) <= 4.4
     # noiseless k-space is exactly the forward model output
-    cfg = ExperimentConfig(size=32, coils=2, levels=10, steps=30,
-                           accel=4.0, seed=5, sigma=0.0)
+    cfg = ExperimentConfig(size=32, coils=2, steps=30, accel=4.0, seed=5, sigma=0.0)
     truth = build_phantom(cfg)
     fm = build_forward_model(cfg)
     assert np.array_equal(load_tensor(out / "kspace.smrd"), apply_forward(fm, truth))
@@ -88,8 +86,7 @@ def test_recon_zero_filled_matches_external_metric(tmp_path):
     truth = load_tensor(out / "truth.smrd")
     zf = apply_adjoint(
         build_forward_model(
-            ExperimentConfig(size=32, coils=2, levels=10, steps=30,
-                             accel=4.0, seed=5)
+            ExperimentConfig(size=32, coils=2, steps=30, accel=4.0, seed=5)
         ),
         load_tensor(out / "kspace.smrd"),
     )
@@ -193,7 +190,7 @@ def test_compare_runs_all_methods_byte_identically(tmp_path):
 
 def test_config_file_plus_flag_overrides(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(ExperimentConfig(size=32, coils=2, levels=10, steps=30,
+    cfg_path.write_text(ExperimentConfig(size=32, coils=2, steps=30,
                                          accel=4.0, sigma=0.25, seed=5).to_text())
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", cfg_path, "--sigma", "0.0",
@@ -250,17 +247,20 @@ def test_unrealizable_accel_leaves_no_output(tmp_path, verb):
     assert not out.exists()
 
 
-# The iterate's energy overflows at step 11 under every method; csgm_es's
-# SURE value (a product with that energy) overflows one step earlier.
+# With the last level's step size raised to 1e8, the iterate's energy overflows
+# at step 11 under every method; at 1e7, csgm_es's SURE value (a product with
+# that energy) overflows first.
 @pytest.mark.parametrize(
     "method, step, what",
     [("smrd", 11, "iterate energy"), ("am_fixed", 11, "iterate energy"),
-     ("csgm", 11, "iterate energy"), ("csgm_es", 10, "SURE value")],
+     ("csgm", 11, "iterate energy"), ("csgm_es", 11, "SURE value")],
 )
-def test_divergence_fails_at_first_nonfinite_step(tmp_path, capsys, method, step, what):
+def test_divergence_fails_at_first_nonfinite_step(tmp_path, capsys, monkeypatch, method, step,
+                                                   what):
     out = tmp_path / "sim"
     run_cli("simulate", *FAST, "--out", out)
-    code = run_cli("recon", *FAST, "--method", method, "--eps0", "1e8", "--out", out)
+    monkeypatch.setattr(priors, "EPS0", 1e7 if what == "SURE value" else 1e8)
+    code = run_cli("recon", *FAST, "--method", method, "--out", out)
     assert code == EXIT_NUMERIC
     assert capsys.readouterr().err.endswith(f"{method}: non-finite {what} at step {step}\n")
     assert not (out / f"image_{method}.smrd").exists()
@@ -319,6 +319,17 @@ def test_recon_nonfinite_input_is_io_error(tmp_path, capsys, name, method):
     assert f"{name}.smrd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["smrd", "zero_filled", "csgm"])
+def test_recon_overflowing_zero_filled_energy_is_numerical_error(tmp_path, capsys, method):
+    # finite k-space whose zero-filled image energy overflows fails before step 0
+    out = tmp_path / "sim"
+    run_cli("simulate", *FAST, "--sigma", "0.02", "--out", out)
+    save_tensor(out / "kspace.smrd", load_tensor(out / "kspace.smrd") * 1e160)
+    assert run_cli("recon", *FAST, "--method", method, "--out", out) == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"error: {method}: non-finite zero-filled image energy\n"
+    assert not (out / f"image_{method}.smrd").exists()
+
+
 def test_recon_overflowing_dims_is_io_error(tmp_path, capsys):
     out = tmp_path / "sim"
     run_cli("simulate", *FAST, "--out", out)
@@ -361,7 +372,7 @@ def test_module_runs_as_a_script(tmp_path):
 # whose default + 1 is out of range; other numeric fields use default + 1
 NON_DEFAULT = {
     "phantom": "blob_grid", "mask": "poisson", "prior": "none",
-    "method": "am_fixed", "out": "elsewhere", "levels": 60, "steps": 600,
+    "method": "am_fixed", "out": "elsewhere", "steps": 600,
 }
 
 
@@ -385,8 +396,9 @@ def exit_code(*args):
 
 def test_removed_settings_are_rejected(tmp_path):
     # no old spelling comes back, with its old meaning or a new one
-    # the controller's constants, the schedule's ends, tau2 and phase are fixed
+    # the controller's constants, the schedule's constants, tau2 and phase are fixed
     fixed = {"phase": "smooth", "tau2": "1e-5", "beta_min": "0.003", "beta_max": "1.0",
+             "levels": "10", "eps0": "1",
              "cg_iters": "5", "alpha": "0.2", "freeze_fraction": "0.43", "window": "0",
              "probes": "1", "eps_rel": "1e-3"}
     out = tmp_path / "sim"
@@ -405,7 +417,7 @@ def test_removed_settings_are_rejected(tmp_path):
 
 
 def test_steps_flag_and_config_key_agree(tmp_path):
-    base = ["--size", "32", "--coils", "2", "--levels", "10", "--seed", "5", "--sigma", "0.02"]
+    base = ["--size", "32", "--coils", "2", "--seed", "5", "--sigma", "0.02"]
     cfg_path = tmp_path / "steps.cfg"
     cfg_path.write_text("steps = 60\n")
     runs = {"flag": ["--steps", "60"], "file": ["--config", str(cfg_path)]}
@@ -423,14 +435,13 @@ def test_steps_flag_and_config_key_agree(tmp_path):
 
 
 @pytest.mark.parametrize("where", ["flag", "file"])
-def test_levels_must_divide_default_steps(tmp_path, capsys, where):
-    cfg_path = tmp_path / "levels.cfg"
-    cfg_path.write_text("levels = 7\n")
-    levels = ["--levels", "7"] if where == "flag" else ["--config", cfg_path]
+def test_steps_must_be_a_multiple_of_levels(tmp_path, capsys, where):
+    cfg_path = tmp_path / "steps.cfg"
+    cfg_path.write_text("steps = 31\n")
+    steps = ["--steps", "31"] if where == "flag" else ["--config", cfg_path]
     out = tmp_path / "sim"
-    assert run_cli("simulate", *levels, "--out", out) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err == "error: steps must be a positive multiple of levels >= 1, got steps=300, levels=7\n"
+    assert run_cli("simulate", *steps, "--out", out) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: steps must be a positive multiple of 30, got 31\n"
     assert not out.exists()
 
 
@@ -440,7 +451,7 @@ def test_levels_must_divide_default_steps(tmp_path, capsys, where):
 # so a new field cannot skip the gate
 REJECTED = {
     "phantom": "nope", "size": 8, "coils": 0, "mask": "radial", "accel": 0.5,
-    "sigma": -0.5, "prior": "nope", "levels": 0, "steps": 0, "eps0": 0.0,
+    "sigma": -0.5, "prior": "nope", "steps": 0,
     "method": "nope", "lambda0": 0.0, "calib": 999, "out": "runs/a #b",
 }
 UNCONSTRAINED = {"seed"}
@@ -449,6 +460,7 @@ UNCONSTRAINED = {"seed"}
 REMOVED = {
     "phase": "nope", "tau2": -1.0, "beta_min": 2.0, "beta_max": 0.001, "cg_iters": 0,
     "alpha": 0.0, "freeze_fraction": 2.0, "window": -1, "probes": 0, "eps_rel": -1.0,
+    "levels": 0, "eps0": 0.0,
 }
 
 

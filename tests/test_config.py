@@ -95,8 +95,8 @@ def test_library_defaults_are_the_clis():
 
 def test_defaults_read_from_components_keep_their_values():
     cfg = ExperimentConfig()
-    assert (cfg.phantom, cfg.size, cfg.levels, cfg.steps, cfg.eps0, cfg.method, cfg.lambda0) == (
-        "shepp_logan", 64, 30, 300, 1.8e-6, "smrd", 2.0)
+    assert (cfg.phantom, cfg.size, cfg.steps, cfg.method, cfg.lambda0) == (
+        "shepp_logan", 64, 300, "smrd", 2.0)
     assert cfg.calib == 16  # the one Poisson calibration default; the mask generator has none
 
 

@@ -331,7 +331,9 @@ FULL_16 = SamplingMask(keep=np.ones((16, 16), dtype=bool), accel=1.0)
 @pytest.mark.parametrize("build, message", [
     (lambda: make_equispaced_mask(0, 16, 2.0), "mask dimensions must be positive"),
     (lambda: make_equispaced_mask(16, 0, 2.0), "mask dimensions must be positive"),
-    (lambda: make_equispaced_mask(16, 16, 0.5), "acceleration must be >= 1, got 0.5"),
+    (lambda: make_equispaced_mask(16, 16, 0.5), "acceleration must be in [1, inf), got 0.5"),
+    (lambda: make_equispaced_mask(32, 32, np.nan, 0.08), "acceleration must be in [1, inf), got nan"),
+    (lambda: make_equispaced_mask(32, 32, np.inf, 0.08), "acceleration must be in [1, inf), got inf"),
     (lambda: make_equispaced_mask(16, 16, 2.0, -0.1), "acs_fraction must be in [0, 1), got -0.1"),
     (lambda: make_equispaced_mask(16, 16, 2.0, 1.0), "acs_fraction must be in [0, 1), got 1.0"),
     (lambda: make_equispaced_mask(64, 64, 8.0, 0.5),
@@ -340,12 +342,15 @@ FULL_16 = SamplingMask(keep=np.ones((16, 16), dtype=bool), accel=1.0)
     (lambda: make_poisson_disc_mask(32, 0, 2.0, 8), "mask dimensions must be positive"),
     (lambda: make_poisson_disc_mask(32, 32, 2.0, calib=-1), "calib must be in [0, min(h, w)], got -1"),
     (lambda: make_poisson_disc_mask(32, 24, 2.0, calib=25), "calib must be in [0, min(h, w)], got 25"),
+    (lambda: make_poisson_disc_mask(32, 32, np.nan, 8), "acceleration must be in [1, inf), got nan"),
+    (lambda: make_poisson_disc_mask(32, 32, np.inf, 8), "acceleration must be in [1, inf), got inf"),
     (lambda: add_kspace_noise(np.zeros((2, 8, 8), dtype=complex), FULL_16, NoiseSpec(sigma=0.1)),
      "k-space shape (2, 8, 8) does not match mask (16, 16)"),
     (lambda: ForwardModel(sens=np.ones((16, 16)), mask=FULL_16),
      "sens must have shape (coils, h, w), got (16, 16)"),
-], ids=["eq-h0", "eq-w0", "eq-accel", "eq-acs-neg", "eq-acs-one", "eq-acs-budget",
-        "pd-h0", "pd-w0", "pd-calib-neg", "pd-calib-big", "noise-shape", "sens-2d"])
+], ids=["eq-h0", "eq-w0", "eq-accel", "eq-accel-nan", "eq-accel-inf", "eq-acs-neg",
+        "eq-acs-one", "eq-acs-budget", "pd-h0", "pd-w0", "pd-calib-neg", "pd-calib-big",
+        "pd-accel-nan", "pd-accel-inf", "noise-shape", "sens-2d"])
 def test_input_checks_raise_their_message(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
@@ -400,6 +405,6 @@ def test_noise_deterministic():
 
 def test_noise_negative_sigma_rejected():
     for sigma in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^sigma must be finite and nonnegative, got {sigma}$"):
             NoiseSpec(sigma=sigma)
 

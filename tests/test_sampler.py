@@ -22,7 +22,7 @@ from smrd.forward import (
 from smrd.fourier import real_inner
 from smrd.metrics import psnr
 from smrd.phantom import PhantomSpec, make_phantom, make_synth_coils
-from smrd.priors import BETA_MIN, NoiseSchedule, ScorePrior, score
+from smrd.priors import ScorePrior, score
 from smrd.sampler import (
     CG_ITERS,
     METHODS,
@@ -78,12 +78,12 @@ def test_langevin_deterministic():
 
 
 def test_langevin_scalar_closed_form():
-    # eta = 0.5, gaussian prior (mean 0, tau2 1, beta 1): 2 + 0.5 * (-1) = 1.5
-    # step 0 of two levels: beta = BETA_MAX = 1, eta = eps0 / BETA_MIN^2
-    sched = NoiseSchedule(levels=2, steps=2, eps0=0.5 * BETA_MIN**2)
-    prior = ScorePrior(schedule=sched, mean=np.zeros((1, 1)), tau2=1.0)
+    # gaussian prior (mean 0, tau2 1) at step 0 (beta = BETA_MAX = 1): 2 + eta * (-1)
+    prior = ScorePrior(mean=np.zeros((1, 1)), tau2=1.0)
+    eta = prior.schedule.eta(0)
+    assert eta == pytest.approx(0.2)  # EPS0 / BETA_MIN^2
     out = langevin_step(np.array([[2.0 + 0j]]), prior, 0, np.zeros((1, 1)))
-    assert out[0, 0] == pytest.approx(1.5)
+    assert out[0, 0] == pytest.approx(2.0 - eta)
 
 
 # cg_solve ---------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_cg_rejects_nonpositive_lambda():
     fm = unit_model(4, 4)
     z = np.zeros((4, 4), dtype=complex)
     for lam in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^lambda must be positive and finite, got {lam}$"):
             cg_solve(NormalOperator(fm), lam, z, z, 5)
 
 
@@ -560,20 +560,18 @@ def test_csgm_data_term_vanishes_on_consistent_iterate():
 def test_csgm_scalar_recursion():
     # full 1x1 mask, unit sens, zero noise: x + eta * (score + (y - x))
     fm = unit_model(1, 1)
-    sched = NoiseSchedule(levels=2, steps=2, eps0=0.25 * BETA_MIN**2)  # eta_0 = 0.25, beta_0 = 1
-    prior = ScorePrior(schedule=sched, mean=np.zeros((1, 1)), tau2=1.0)
+    prior = ScorePrior(mean=np.zeros((1, 1)), tau2=1.0)  # beta_0 = 1
     x = np.array([[2.0 + 0j]])
     y = np.array([[[1.0 + 0j]]])
     out = csgm_step(x, prior, NormalOperator(fm), apply_adjoint(fm, y), 0, np.zeros((1, 1)))
-    want = 2.0 + 0.25 * (-1.0 + (1.0 - 2.0))
+    want = 2.0 + prior.schedule.eta(0) * (-1.0 + (1.0 - 2.0))
     assert out[0, 0] == pytest.approx(want)
 
 
 # run_reconstruction -----------------------------------------------------
 
 def small_setup(sigma=0.0, seed=0):
-    cfg = ExperimentConfig(size=32, coils=2, accel=4.0, sigma=sigma, seed=seed,
-                           levels=10, steps=30)
+    cfg = ExperimentConfig(size=32, coils=2, accel=4.0, sigma=sigma, seed=seed, steps=30)
     truth, fm, y = simulate(cfg)
     return truth, fm, y, build_prior(cfg, truth)
 
@@ -656,8 +654,7 @@ def test_composite_step_contracts_on_full_mask():
     # affine in x_t with spectral radius < 1 on the fully sampled system
     h = w = 4
     fm = unit_model(h, w)
-    sched = NoiseSchedule(levels=2, steps=2, eps0=0.4 * BETA_MIN**2)  # eta_0 = 0.4, beta_0 = 1
-    prior = ScorePrior(schedule=sched, mean=np.zeros((h, w)), tau2=1.0)
+    prior = ScorePrior(mean=np.zeros((h, w)), tau2=1.0)  # step 0: eta = 0.2, beta = 1
     rng = np.random.default_rng(14)
     x_zf = random_complex(rng, (h, w))
     t = 0

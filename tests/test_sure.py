@@ -121,6 +121,13 @@ def test_known_sigma_zero_noise_reduces_to_residual():
     )
 
 
+def test_known_sigma_rejects_negative_or_nonfinite_sigma():
+    x = np.zeros((4, 4), dtype=complex)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^sigma must be finite and nonnegative, got {sigma}$"):
+            sure_known_sigma(x, x, sigma, divergence=1.0)
+
+
 # grad_sure_lambda -------------------------------------------------------
 
 def test_grad_zero_when_h_ignores_lambda():
