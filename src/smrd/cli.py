@@ -61,20 +61,23 @@ def _parse_grid(raw: str, name: str) -> list[float]:
 
 def _load_sim(cfg: ExperimentConfig) -> tuple[np.ndarray, ForwardModel, np.ndarray]:
     """Load the simulated inputs, checked against the config: every file
-    must have the config's shape and hold finite values, and the mask must
-    be u8 zeros and ones."""
+    must have the config's shape, the dtype `simulate` writes (complex128,
+    u8 for the mask) and finite values, and the mask must be 0s and 1s."""
     out = Path(cfg.out)
     image = (cfg.size, cfg.size)
     stack = (cfg.coils, *image)
     loaded = {}
-    for name, shape in (("truth", image), ("coils", stack), ("mask", image), ("kspace", stack)):
+    for name, shape, dtype in (("truth", image, "complex128"), ("coils", stack, "complex128"),
+                               ("mask", image, "uint8"), ("kspace", stack, "complex128")):
         path = out / f"{name}.smrd"
         data = load_tensor(path)
         if data.shape != shape:
             raise TensorFileError(f"{path}: shape {data.shape}, expected {shape} from the config")
+        if data.dtype != dtype:
+            raise TensorFileError(f"{path}: dtype {data.dtype}, expected {dtype}")
         if not np.all(np.isfinite(data)):
             raise TensorFileError(f"{path}: contains non-finite values")
-        if name == "mask" and (data.dtype != np.uint8 or np.any(data > 1)):
+        if name == "mask" and np.any(data > 1):
             raise TensorFileError(f"{path}: not a u8 mask of 0s and 1s")
         loaded[name] = data
     mask = SamplingMask(keep=loaded["mask"].astype(bool), accel=cfg.accel)

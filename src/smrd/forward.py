@@ -405,6 +405,8 @@ def add_kspace_noise(y: np.ndarray, mask: SamplingMask, spec: NoiseSpec) -> np.n
     `NoiseSpec`) at kept k-space locations only. Noise streams are derived
     from (seed, coil index), so per-coil generation order never matters."""
     y = np.asarray(y)
+    if y.ndim != 3:
+        raise ValueError(f"k-space must have shape (coils, h, w), got {y.shape}")
     if y.shape[-2:] != mask.shape:
         raise ValueError(f"k-space shape {y.shape} does not match mask {mask.shape}")
     if spec.sigma == 0:

@@ -4,11 +4,11 @@ Layout (all integers little-endian u32):
 
     magic "SMRD" | version | dtype tag | rank | dims[rank] | payload
 
-Payload is row-major little-endian. Dtype tags: 0 = complex64 (f32 pairs),
-1 = complex128 (f64 pairs), 2 = u8. Round trips are bit-exact; loading
-validates magic, version, dtype and payload length. Every fault raises one
-`TensorFileError` whose message names the file and the fault, e.g.
-"run/truth.smrd: truncated header".
+Payload is row-major little-endian. Dtype tags: 1 = complex128 (f64 pairs),
+2 = u8, the only dtypes the program writes; rank 0 holds a 0-d array. Round
+trips are bit-exact, shape included; loading validates magic, version, dtype
+and payload length. Every fault raises one `TensorFileError` whose message
+names the file and the fault, e.g. "run/truth.smrd: truncated header".
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 MAGIC = b"SMRD"
 VERSION = 1
 
-_TAG_TO_DTYPE = {0: np.dtype("<c8"), 1: np.dtype("<c16"), 2: np.dtype("u1")}
-_KIND_TO_TAG = {("c", 8): 0, ("c", 16): 1, ("u", 1): 2}
+_TAG_TO_DTYPE = {1: np.dtype("<c16"), 2: np.dtype("u1")}
+_KIND_TO_TAG = {(dtype.kind, dtype.itemsize): tag for tag, dtype in _TAG_TO_DTYPE.items()}
 
 
 class TensorFileError(OSError):
@@ -47,9 +47,7 @@ def save_tensor(path, data: np.ndarray) -> None:
     tag = _KIND_TO_TAG.get((data.dtype.kind, data.dtype.itemsize))
     if tag is None:
         raise TensorFileError(f"{path}: unsupported dtype {data.dtype}")
-    dims = data.shape if data.ndim else (1,)
-    header = MAGIC + struct.pack("<III", VERSION, tag, len(dims))
-    header += struct.pack(f"<{len(dims)}I", *dims)
+    header = MAGIC + struct.pack(f"<III{data.ndim}I", VERSION, tag, data.ndim, *data.shape)
     payload = np.ascontiguousarray(data.astype(_TAG_TO_DTYPE[tag], copy=False)).tobytes()
     atomic_write(path, header + payload)
 
@@ -75,7 +73,7 @@ def load_tensor(path) -> np.ndarray:
     dims = struct.unpack(f"<{rank}I", blob[16:dims_end])
     dtype = _TAG_TO_DTYPE[tag]
     expected = math.prod(dims) * dtype.itemsize  # Python ints: no wraparound
-    payload = blob[dims_end:]
+    payload = memoryview(blob)[dims_end:]
     if len(payload) < expected:
         raise TensorFileError(
             f"{path}: truncated payload: expected {expected} bytes, got {len(payload)}"

@@ -143,8 +143,10 @@ def test_sweep_grid_and_single_point_equivalence(tmp_path):
     assert sweep_psnr == pytest.approx(cell_psnr, rel=1e-12)
 
 
-def test_sweep_rejects_empty_grid(tmp_path):
-    assert run_cli("sweep-lambda", *FAST, "--lambdas", "", "--out", tmp_path) == EXIT_CONFIG
+def test_sweep_rejects_empty_grid(tmp_path, capsys):
+    for grid, message in (("", "lambda grid is empty"), ("1,abc", "bad lambda grid '1,abc'")):
+        assert run_cli("sweep-lambda", *FAST, "--lambdas", grid, "--out", tmp_path) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("method", ["smrd", "csgm_es"])
@@ -280,18 +282,24 @@ def test_recon_config_mismatch_is_io_error(tmp_path, capsys, flags, bad_file):
     assert bad_file in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", ["truth", "u8 with a 2"])
-def test_recon_non_mask_is_io_error(tmp_path, capsys, source):
+@pytest.mark.parametrize("name, source", [
+    ("mask", "truth"), ("mask", "u8 with a 2"), ("truth", "mask"), ("kspace", "u8 zeros"),
+])
+def test_recon_input_unlike_simulates_is_io_error(tmp_path, capsys, name, source):
+    # right shape, but not the dtype or values simulate writes for that file
     out = tmp_path / "sim"
     run_cli("simulate", *FAST, "--out", out)
-    if source == "truth":
-        (out / "mask.smrd").write_bytes((out / "truth.smrd").read_bytes())
-    else:
-        mask = load_tensor(out / "mask.smrd")
+    path = out / f"{name}.smrd"
+    if source in ("truth", "mask"):
+        path.write_bytes((out / f"{source}.smrd").read_bytes())
+    elif source == "u8 with a 2":
+        mask = load_tensor(path)
         mask[mask == 1] = 2
-        save_tensor(out / "mask.smrd", mask)
+        save_tensor(path, mask)
+    else:
+        save_tensor(path, np.zeros(load_tensor(path).shape, dtype=np.uint8))
     assert run_cli("recon", *FAST, "--method", "am_fixed", "--out", out) == EXIT_IO
-    assert "mask.smrd" in capsys.readouterr().err
+    assert f"{name}.smrd" in capsys.readouterr().err
     assert not (out / "image_am_fixed.smrd").exists()
 
 

@@ -69,6 +69,8 @@ def test_validation_catches_bad_enums():
         parse_config_text("method = magic\n").validate()
     with pytest.raises(ValueError, match="unsupported size 8"):
         parse_config_text("size = 8\n").validate()
+    with pytest.raises(ValueError, match="^prior='truth' needs the ground-truth image$"):
+        build_prior(ExperimentConfig(prior="truth"), None)
 
 
 def test_acs_fraction_auto_resolution():

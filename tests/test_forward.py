@@ -346,11 +346,13 @@ FULL_16 = SamplingMask(keep=np.ones((16, 16), dtype=bool), accel=1.0)
     (lambda: make_poisson_disc_mask(32, 32, np.inf, 8), "acceleration must be in [1, inf), got inf"),
     (lambda: add_kspace_noise(np.zeros((2, 8, 8), dtype=complex), FULL_16, NoiseSpec(sigma=0.1)),
      "k-space shape (2, 8, 8) does not match mask (16, 16)"),
+    (lambda: add_kspace_noise(np.zeros((16, 16), dtype=complex), FULL_16, NoiseSpec(sigma=0.1)),
+     "k-space must have shape (coils, h, w), got (16, 16)"),
     (lambda: ForwardModel(sens=np.ones((16, 16)), mask=FULL_16),
      "sens must have shape (coils, h, w), got (16, 16)"),
 ], ids=["eq-h0", "eq-w0", "eq-accel", "eq-accel-nan", "eq-accel-inf", "eq-acs-neg",
         "eq-acs-one", "eq-acs-budget", "pd-h0", "pd-w0", "pd-calib-neg", "pd-calib-big",
-        "pd-accel-nan", "pd-accel-inf", "noise-shape", "sens-2d"])
+        "pd-accel-nan", "pd-accel-inf", "noise-shape", "noise-2d", "sens-2d"])
 def test_input_checks_raise_their_message(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()

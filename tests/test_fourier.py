@@ -85,6 +85,8 @@ def test_centered_impulse_inverts_to_ones():
 
 
 def test_zero_sized_rejected():
+    with pytest.raises(ValueError, match="^img must have at least 2 dimensions, got 1$"):
+        fft2c(np.zeros(4))
     with pytest.raises(ValueError):
         fft2c(np.zeros((0, 4)))
     with pytest.raises(ValueError):

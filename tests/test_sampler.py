@@ -343,6 +343,8 @@ def test_csgm_step_rejects_mismatched_shapes():
     for x, x_zf in ((z[:1], z), (z, z[:, :1])):
         with pytest.raises(ValueError):
             csgm_step(x, prior, op, x_zf, 0, z)
+        with pytest.raises(ValueError, match="^x_zf / x_plus shapes do not match the forward model$"):
+            cg_solve(op, 2.0, x_zf, x, 1)
 
 
 @pytest.mark.parametrize("name", sorted(CG_MODELS))

@@ -311,6 +311,8 @@ def oracle_stop(history, w):
 
 def test_early_stop_needs_two_windows():
     assert early_stop_check([1.0] * 5, 3) is False
+    with pytest.raises(ValueError, match="^window must be positive$"):
+        early_stop_check([1.0] * 5, 0)
 
 
 def test_early_stop_step_up_fires():

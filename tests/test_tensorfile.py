@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,20 +16,14 @@ def raises_naming(path, fault, call, *args):
 
 def test_round_trip_complex128(tmp_path):
     rng = np.random.default_rng(0)
-    data = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
     path = tmp_path / "t.smrd"
-    save_tensor(path, data)
-    back = load_tensor(path)
-    assert back.dtype == np.complex128
-    assert np.array_equal(back, data)
-
-
-def test_round_trip_complex64(tmp_path):
-    rng = np.random.default_rng(1)
-    data = (rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))).astype(np.complex64)
-    path = tmp_path / "t.smrd"
-    save_tensor(path, data)
-    assert np.array_equal(load_tensor(path), data)
+    for data in (rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5)),
+                 np.array(1 + 2j)):
+        save_tensor(path, data)
+        back = load_tensor(path)
+        assert back.dtype == np.complex128
+        assert back.shape == data.shape
+        assert np.array_equal(back, data)
 
 
 def test_round_trip_u8_mask(tmp_path):
@@ -71,9 +66,10 @@ def test_unknown_dtype_tag(tmp_path):
     path = tmp_path / "t.smrd"
     save_tensor(path, np.zeros(3, dtype=np.uint8))
     blob = bytearray(path.read_bytes())
-    blob[8] = 99  # dtype tag field
-    path.write_bytes(bytes(blob))
-    raises_naming(path, "unknown dtype tag 99", load_tensor, path)
+    for tag in (99, 0):  # 0 was complex64's
+        blob[8] = tag  # dtype tag field
+        path.write_bytes(bytes(blob))
+        raises_naming(path, f"unknown dtype tag {tag}", load_tensor, path)
 
 
 # header faults load_tensor rejects before reading a payload: (blob, fault after the path)
@@ -96,9 +92,23 @@ def test_malformed_header_rejected(tmp_path, name):
 
 def test_unsupported_save_dtype(tmp_path):
     path = tmp_path / "t.smrd"
-    data = np.zeros(3, dtype=np.float32)
-    raises_naming(path, "unsupported dtype float32", save_tensor, path, data)
-    assert not path.exists()
+    for dtype in ("float32", "complex64"):
+        data = np.zeros(3, dtype=dtype)
+        raises_naming(path, f"unsupported dtype {dtype}", save_tensor, path, data)
+        assert not path.exists()
+
+
+def test_load_copies_its_payload_once(tmp_path):
+    # the file's bytes plus the returned array: no third copy of the payload
+    path = tmp_path / "t.smrd"
+    save_tensor(path, np.ones((4, 128, 128), dtype=np.complex128))
+    tracemalloc.start()
+    try:
+        back = load_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * back.nbytes
 
 
 def test_header_layout(tmp_path):
