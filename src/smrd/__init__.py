@@ -2,7 +2,7 @@
 MRI reconstruction, with synthetic phantoms and analytic priors so the
 whole pipeline is verifiable end to end."""
 
-from .config import ExperimentConfig, derive_seed, load_config, parse_config_text
+from .config import ExperimentConfig
 from .forward import (
     ForwardModel,
     NoiseSpec,
@@ -14,32 +14,19 @@ from .forward import (
     make_equispaced_mask,
     make_poisson_disc_mask,
 )
-from .fourier import fft2c, ifft2c, norm2
 from .metrics import psnr, ssim
-from .phantom import PhantomSpec, coil_lobe_centers, make_phantom, make_synth_coils
-from .priors import NoiseSchedule, ScorePrior, score
+from .phantom import PhantomSpec, make_phantom, make_synth_coils
+from .priors import NoiseSchedule, ScorePrior
 from .sampler import (
     METHODS,
     ReconReport,
     SamplerConfig,
-    TraceRow,
     cg_solve,
     csgm_step,
-    langevin_step,
     run_reconstruction,
     write_trace_csv,
 )
-from .sure import (
-    NumericalError,
-    TttConfig,
-    TttState,
-    draw_probe,
-    early_stop_check,
-    grad_sure_lambda,
-    mc_sure,
-    sure_known_sigma,
-    update_lambda,
-)
+from .sure import NumericalError, TttConfig
 from .tensorfile import TensorFileError, load_tensor, save_tensor
 
 __version__ = "0.1.0"

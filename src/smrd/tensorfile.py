@@ -30,14 +30,14 @@ class TensorFileError(OSError):
     """A tensor file that cannot be read or written; the message starts with its path."""
 
 
-def atomic_write(path, data: str | bytes) -> None:
-    """Write `data` (text is UTF-8 encoded) to a temp file, then rename it
-    over `path`, so a reader never sees a partial file."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+def atomic_write(path, *parts: str | bytes | np.ndarray) -> None:
+    """Write `parts` in order (text is UTF-8 encoded; anything else is a
+    bytes-like object, e.g. a contiguous array) to a temp file, then rename
+    it over `path`, so a reader never sees a partial file."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        for part in parts:
+            fh.write(part.encode("utf-8") if isinstance(part, str) else part)
     os.replace(tmp, path)
 
 
@@ -48,8 +48,7 @@ def save_tensor(path, data: np.ndarray) -> None:
     if tag is None:
         raise TensorFileError(f"{path}: unsupported dtype {data.dtype}")
     header = MAGIC + struct.pack(f"<III{data.ndim}I", VERSION, tag, data.ndim, *data.shape)
-    payload = np.ascontiguousarray(data.astype(_TAG_TO_DTYPE[tag], copy=False)).tobytes()
-    atomic_write(path, header + payload)
+    atomic_write(path, header, np.ascontiguousarray(data.astype(_TAG_TO_DTYPE[tag], copy=False)))
 
 
 def load_tensor(path) -> np.ndarray:

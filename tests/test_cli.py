@@ -1,17 +1,20 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import os
 import re
 import shutil
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smrd
 from smrd import cli, config, priors
 from smrd.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _resolve_config, build_parser, main
 from smrd.config import (
@@ -612,3 +615,37 @@ def test_readme_python_examples_run():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["x_next"].shape == namespace["truth"].shape
+
+
+ROOT_EXPORTS = {
+    # what the README and perfbench reach as `smrd.<name>`
+    "ExperimentConfig", "ForwardModel", "NoiseSpec", "NormalOperator", "PhantomSpec",
+    "SamplerConfig", "add_kspace_noise", "apply_adjoint", "apply_forward", "cg_solve",
+    "csgm_step", "make_equispaced_mask", "make_phantom", "make_synth_coils", "psnr",
+    "run_reconstruction", "write_trace_csv",
+    # the types, errors and siblings a caller of those needs
+    "SamplingMask", "ScorePrior", "NoiseSchedule", "TttConfig", "ReconReport", "NumericalError",
+    "TensorFileError", "make_poisson_disc_mask", "ssim", "load_tensor", "save_tensor", "METHODS",
+}
+MODULE_ONLY = {
+    "sure": ("TttState", "draw_probe", "early_stop_check", "grad_sure_lambda", "mc_sure",
+             "sure_known_sigma", "update_lambda"),
+    "sampler": ("langevin_step", "TraceRow"),
+    "priors": ("score",),
+    "fourier": ("fft2c", "ifft2c", "norm2"),
+    "phantom": ("coil_lobe_centers",),
+    "config": ("derive_seed", "load_config", "parse_config_text"),
+}
+
+
+def test_root_exports_only_the_documented_library():
+    bound = {
+        name for name, value in vars(smrd).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound == ROOT_EXPORTS
+    missing = [
+        f"smrd.{module}.{name}" for module, names in MODULE_ONLY.items() for name in names
+        if not hasattr(importlib.import_module(f"smrd.{module}"), name)
+    ]
+    assert missing == []

@@ -111,6 +111,17 @@ def test_load_copies_its_payload_once(tmp_path):
     assert peak <= 2.5 * back.nbytes
 
 
+def test_save_writes_the_array_without_copying_it(tmp_path):
+    data = np.ones((4, 128, 128), dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        save_tensor(tmp_path / "t.smrd", data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * data.nbytes
+
+
 def test_header_layout(tmp_path):
     path = tmp_path / "t.smrd"
     save_tensor(path, np.zeros((2, 3), dtype=np.uint8))
